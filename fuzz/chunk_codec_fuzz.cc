@@ -14,6 +14,10 @@
 ///  * Decoding is canonicalizing: re-encoding an accepted chunk with
 ///    WriteObservationsCsv and decoding again reproduces the identical
 ///    chunk, cell for cell.
+///  * Anything it accepts can be applied: a consistent StreamEngine over
+///    the universe applies the chunk twice, as seq 0 and seq 1, so the
+///    second apply repeats every claim of the first. Each apply returns OK
+///    or a clean error Status; it never aborts.
 ///
 /// The committed corpus (fuzz/corpus/chunk_codec) holds valid chunk CSV
 /// over this universe plus unknown-entity, unknown-label, and malformed
@@ -27,6 +31,7 @@
 #include "common/check.h"
 #include "data/csv.h"
 #include "serve/chunk_codec.h"
+#include "stream/stream_engine.h"
 
 namespace {
 
@@ -100,6 +105,20 @@ void CheckShapeAndCanonical(const crh::ChunkCodec& codec,
   }
 }
 
+void ApplyTwiceConsistently(const crh::DataChunk& chunk, bool quarantine) {
+  crh::IncrementalCrhOptions options;
+  options.truth_mode = crh::TruthMode::kConsistent;
+  options.quarantine_bad_claims = quarantine;
+  auto engine = crh::StreamEngine::Open(Universe(), options, crh::StreamResilienceOptions{});
+  CRH_CHECK(engine.ok());
+  for (int seq = 0; seq < 2; ++seq) {
+    // OK or a clean error are both fine; reaching the next line is the
+    // property.
+    const crh::Status applied = (*engine)->ApplyChunk(chunk, /*force_checkpoint=*/false);
+    static_cast<void>(applied);
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -107,7 +126,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const crh::ChunkCodec codec(Universe());
   for (const bool quarantine : {false, true}) {
     auto decoded = codec.Decode(csv, /*window_start=*/0, quarantine);
-    if (decoded.ok()) CheckShapeAndCanonical(codec, *decoded, quarantine);
+    if (decoded.ok()) {
+      CheckShapeAndCanonical(codec, *decoded, quarantine);
+      ApplyTwiceConsistently(*decoded, quarantine);
+    }
   }
   return 0;
 }

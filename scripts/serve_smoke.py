@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the crh_serve daemon (stdlib only).
 
-Drives one full serving lifecycle the way an operator would:
+Drives one full serving lifecycle the way an operator would, once per
+truth mode (--truth-mode patchwork, then consistent):
 
   1. start crh_serve over a tiny two-source universe,
   2. ingest two chunks and read truths/weights back,
@@ -10,6 +11,8 @@ Drives one full serving lifecycle the way an operator would:
   5. assert the served truths and weights are identical to step 2,
   6. drain via the socket `drain` command.
 
+The second chunk repeats every (object, property, source) claim of the
+first with a new value, so the consistent run exercises claim replacement.
 Exits nonzero with a diagnostic on any divergence. CI runs this as the
 `serve-smoke` job; locally:
 
@@ -56,7 +59,8 @@ def fail(message):
 
 
 class Daemon:
-    def __init__(self, binary, socket_path, universe, checkpoint_dir, log_path):
+    def __init__(self, binary, socket_path, universe, checkpoint_dir, log_path,
+                 truth_mode):
         self.socket_path = socket_path
         self.log = open(log_path, "ab")
         self.proc = subprocess.Popen(
@@ -67,6 +71,7 @@ class Daemon:
                 "--universe", universe,
                 "--checkpoint-dir", checkpoint_dir,
                 "--resume",
+                "--truth-mode", truth_mode,
             ],
             stdout=self.log,
             stderr=self.log,
@@ -157,14 +162,8 @@ def drive(client, expect_resumed):
     }
 
 
-def main():
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
-    binary = sys.argv[1]
-    if not os.access(binary, os.X_OK):
-        fail(f"{binary} is not executable")
-
+def lifecycle(binary, truth_mode):
+    """Both daemon lifetimes in one truth mode, in a fresh directory."""
     with tempfile.TemporaryDirectory(prefix="crh_serve_smoke_") as root:
         universe = os.path.join(root, "universe.csv")
         with open(universe, "w") as handle:
@@ -175,7 +174,8 @@ def main():
         log_path = os.path.join(root, "daemon.log")
 
         # Lifetime 1: cold start, ingest, read, graceful SIGTERM drain.
-        daemon = Daemon(binary, socket_path, universe, checkpoint_dir, log_path)
+        daemon = Daemon(binary, socket_path, universe, checkpoint_dir, log_path,
+                        truth_mode)
         try:
             client = daemon.connect()
             before = drive(client, expect_resumed=False)
@@ -183,28 +183,41 @@ def main():
             daemon.proc.send_signal(signal.SIGTERM)
             code = daemon.wait_exit()
             if code != 0:
-                fail(f"SIGTERM drain exited with {code}")
+                fail(f"{truth_mode}: SIGTERM drain exited with {code}")
         finally:
             daemon.close()
 
         # Lifetime 2: resume, replay the same chunks, answers must match.
-        daemon = Daemon(binary, socket_path, universe, checkpoint_dir, log_path)
+        daemon = Daemon(binary, socket_path, universe, checkpoint_dir, log_path,
+                        truth_mode)
         try:
             client = daemon.connect()
             after = drive(client, expect_resumed=True)
             if before != after:
-                fail(f"state diverged across restart:\n  before {before}\n  after  {after}")
+                fail(f"{truth_mode}: state diverged across restart:\n"
+                     f"  before {before}\n  after  {after}")
             reply = client.request(cmd="drain")
             if not reply.get("ok"):
-                fail(f"drain command rejected: {reply}")
+                fail(f"{truth_mode}: drain command rejected: {reply}")
             client.close()
             code = daemon.wait_exit()
             if code != 0:
-                fail(f"socket drain exited with {code}")
+                fail(f"{truth_mode}: socket drain exited with {code}")
         finally:
             daemon.close()
+    print(f"serve_smoke: PASS {truth_mode} (ingest, SIGTERM drain, resume, "
+          "bit-identical answers)")
 
-    print("serve_smoke: PASS (ingest, SIGTERM drain, resume, bit-identical answers)")
+
+def main():
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    binary = sys.argv[1]
+    if not os.access(binary, os.X_OK):
+        fail(f"{binary} is not executable")
+    for truth_mode in ("patchwork", "consistent"):
+        lifecycle(binary, truth_mode)
 
 
 if __name__ == "__main__":

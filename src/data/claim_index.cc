@@ -83,8 +83,7 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
 
   // Stage the chunk's claims as their own small CSR over PARENT entry ids,
   // sorted by source within each entry (outer k ascending, as in Build).
-  std::vector<size_t> added(num_entries, 0);
-  size_t batch_total = 0;
+  std::vector<size_t> batch_offsets(num_entries + 1, 0);
   for (size_t k = 0; k < k_sources; ++k) {
     const std::vector<Value>& cells = chunk.observations(k).cells();
     CRH_DCHECK_EQ(cells.size(), chunk_objects * m_props);
@@ -92,21 +91,17 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
       const size_t parent = parent_object[local];
       CRH_CHECK_LT(parent, num_objects_);
       for (size_t m = 0; m < m_props; ++m) {
-        if (cells[local * m_props + m].is_missing()) continue;
-        ++added[parent * m_props + m];
-        ++batch_total;
+        if (!cells[local * m_props + m].is_missing()) ++batch_offsets[parent * m_props + m + 1];
       }
     }
   }
+  for (size_t e = 0; e < num_entries; ++e) batch_offsets[e + 1] += batch_offsets[e];
+  const size_t batch_total = batch_offsets[num_entries];
   if (batch_total == 0) return;
 
-  std::vector<size_t> batch_offsets(num_entries + 1, 0);
-  for (size_t e = 0; e < num_entries; ++e) {
-    batch_offsets[e + 1] = batch_offsets[e] + added[e];
-  }
   std::vector<uint32_t> batch_sources(batch_total);
   std::vector<Value> batch_values(batch_total);
-  std::vector<size_t> batch_cursor = batch_offsets;
+  std::vector<size_t> batch_cursor(batch_offsets.begin(), batch_offsets.end() - 1);
   for (size_t k = 0; k < k_sources; ++k) {
     const std::vector<Value>& cells = chunk.observations(k).cells();
     for (size_t local = 0; local < chunk_objects; ++local) {
@@ -115,21 +110,46 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
         const Value& v = cells[local * m_props + m];
         if (v.is_missing()) continue;
         const size_t at = batch_cursor[base + m]++;
+        // Two chunk objects mapped to one parent object would leave the
+        // entry two claims from one source and no latest among them.
+        CRH_DCHECK(at == batch_offsets[base + m] || batch_sources[at - 1] != k);
         batch_sources[at] = static_cast<uint32_t>(k);
         batch_values[at] = v;
       }
     }
   }
 
-  // Grow the claim arrays geometrically so a chunk stream costs amortized
-  // O(1) per claim in reallocation, then slide spans right in place.
-  const size_t old_total = values_.size();
-  const size_t new_total = old_total + batch_total;
-  const size_t grown = std::max(new_total, values_.capacity() * 2);
-  sources_.reserve(grown);
-  values_.reserve(grown);
-  numeric_.reserve(grown);
-  labels_.reserve(grown);
+  // A batch claim from a source the entry already holds replaces that
+  // claim instead of adding one; count those to size the merged arrays.
+  size_t replaced = 0;
+  for (size_t e = 0; e < num_entries; ++e) {
+    size_t b = batch_offsets[e];
+    size_t o = offsets_[e];
+    while (b < batch_offsets[e + 1] && o < offsets_[e + 1]) {
+      if (batch_sources[b] < sources_[o]) {
+        ++b;
+      } else if (sources_[o] < batch_sources[b]) {
+        ++o;
+      } else {
+        ++replaced;
+        ++b;
+        ++o;
+      }
+    }
+  }
+
+  // Grow the claim arrays geometrically, and only when they are full, so
+  // a chunk stream costs amortized O(1) per claim in reallocation and the
+  // capacity stays within 2x the claim count; then slide spans right in
+  // place. No span shrinks, so new_total >= the old total.
+  const size_t new_total = values_.size() + batch_total - replaced;
+  if (new_total > values_.capacity()) {
+    const size_t grown = std::max(new_total, values_.capacity() * 2);
+    sources_.reserve(grown);
+    values_.reserve(grown);
+    numeric_.reserve(grown);
+    labels_.reserve(grown);
+  }
   sources_.resize(new_total);
   values_.resize(new_total);
   numeric_.resize(new_total);
@@ -137,45 +157,42 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
 
   // Merge entry by entry from the BACK. Writing entry e's merged span
   // backward from its new end never clobbers unread old claims: the write
-  // cursor stays ahead of the old read cursor by exactly the number of
-  // batch claims still to be placed at or below entry e (>= 0).
+  // cursor stays ahead of the old read cursor by the net number of claims
+  // (batch claims minus replaced ones) still to be placed at or below
+  // entry e, which is >= 0. On equal sources the batch claim is written
+  // and the old one skipped: the latest claim wins.
   size_t write = new_total;
-  size_t shift = batch_total;  // batch claims destined for entries <= e
   for (size_t e = num_entries; e-- > 0;) {
     const size_t old_begin = offsets_[e];
     size_t old_read = offsets_[e + 1];          // one past the old span
     size_t batch_read = batch_offsets[e + 1];   // one past the batch span
     const size_t batch_begin = batch_offsets[e];
+    offsets_[e + 1] = write;  // the span's new end
     while (old_read > old_begin || batch_read > batch_begin) {
       const bool take_batch =
           batch_read > batch_begin &&
-          (old_read == old_begin || batch_sources[batch_read - 1] > sources_[old_read - 1]);
+          (old_read == old_begin || batch_sources[batch_read - 1] >= sources_[old_read - 1]);
       --write;
       if (take_batch) {
+        if (old_read > old_begin && batch_sources[batch_read - 1] == sources_[old_read - 1]) {
+          --old_read;
+        }
         --batch_read;
-        --shift;
         sources_[write] = batch_sources[batch_read];
         values_[write] = batch_values[batch_read];
         numeric_[write] = NumericLane(batch_values[batch_read]);
         labels_[write] = LabelLane(batch_values[batch_read]);
       } else {
         --old_read;
-        // A duplicate (entry, source) pair would make the union ill-defined.
-        CRH_CHECK(batch_read == batch_begin ||
-                  batch_sources[batch_read - 1] != sources_[old_read]);
         sources_[write] = sources_[old_read];
         values_[write] = values_[old_read];
         numeric_[write] = numeric_[old_read];
         labels_[write] = labels_[old_read];
       }
     }
-    // The span's new end is its old end plus every batch claim below it.
-    offsets_[e + 1] += shift + (batch_offsets[e + 1] - batch_begin);
     max_span_size_ = std::max(max_span_size_, offsets_[e + 1] - write);
   }
   CRH_DCHECK_EQ(write, size_t{0});
-  CRH_DCHECK_EQ(shift, size_t{0});
-  CRH_DCHECK_EQ(offsets_[num_entries], new_total);
 }
 
 }  // namespace crh

@@ -80,17 +80,20 @@ class ClaimIndex {
 
   /// Appends every claim of \p chunk, mapping chunk object i to parent
   /// object parent_object[i] (stream/chunks.h invariant: the chunk shares
-  /// the parent's schema, sources and dictionaries). Existing entry spans
-  /// are extended in place with the merged-by-source order a full rebuild
-  /// would produce, so an appended index is claim-for-claim identical to
-  /// Build over the union dataset (asserted in claim_index_test.cc).
+  /// the parent's schema, sources and dictionaries; no two chunk objects
+  /// map to one parent object). Existing entry spans are extended in place
+  /// with the merged-by-source order a full rebuild would produce. A claim
+  /// on an (entry, source) pair the index already holds replaces the
+  /// earlier claim: the latest claim wins, read as the source revising its
+  /// report. So an appended index is claim-for-claim identical to Build
+  /// over the dataset that holds each source's latest claim on each entry
+  /// (asserted in claim_index_test.cc), and it never holds more than
+  /// K * N * M claims however long the stream runs.
   ///
   /// Cost: O(num_entries + claims_so_far + chunk claims) moves per call —
   /// the CSR offset table is rebuilt and shifted spans slide right — with
-  /// geometric array growth, versus the O(K * N * M) dense rescan of a
-  /// full rebuild. A source may claim an entry at most once across all
-  /// appends (checked): duplicate (entry, source) pairs would make the
-  /// union dataset ill-defined.
+  /// geometric array growth when the arrays are full, versus the
+  /// O(K * N * M) dense rescan of a full rebuild.
   void Append(const Dataset& chunk, const std::vector<size_t>& parent_object);
 
   size_t num_objects() const { return num_objects_; }
@@ -99,6 +102,8 @@ class ClaimIndex {
   size_t num_entries() const { return num_objects_ * num_properties_; }
   /// Total non-missing claims across all sources and entries.
   size_t num_claims() const { return values_.size(); }
+  /// Claims the lanes can hold before Append must grow them.
+  size_t claim_capacity() const { return values_.capacity(); }
   /// Largest claim count any entry has (0 for an empty index). Maintained
   /// incrementally so scratch sizing is O(1), not an index scan.
   size_t max_span_size() const { return max_span_size_; }

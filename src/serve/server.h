@@ -10,10 +10,11 @@
 ///     protocol (serve/protocol.h): truth/weight/confidence lookups, a
 ///     /healthz-style `status` command, chunk ingest, and admin commands.
 ///   * A single ingest thread that drains the bounded admission queue
-///     (serve/admission.h), applies each chunk through the engine (delta
-///     re-solve + checkpoints), and publishes an immutable epoch snapshot
-///     (serve/snapshot.h) after every chunk. Query handlers answer from
-///     the last published epoch and never block on solver iterations.
+///     (serve/admission.h), applies each chunk through the engine (one
+///     I-CRH step in the configured truth mode + checkpoints), and
+///     publishes an immutable epoch snapshot (serve/snapshot.h) after
+///     every chunk. Query handlers answer from the last published epoch
+///     and never block on solver iterations.
 ///   * Overload protection: a full queue sheds the ingest with an explicit
 ///     `overloaded` + retry-after reply; queries are unaffected.
 ///   * Deadlines: per-connection read deadlines (a stalled or slow-writing

@@ -302,12 +302,12 @@ uint64_t CheckpointFingerprint(const IncrementalCrhOptions& options, size_t num_
     }
     for (size_t k = 0; k < data->num_sources(); ++k) fp.AddString(data->source_id(k));
   }
-  // Appended only for delta-maintained runs, so fingerprints of legacy
-  // (kOff) runs are unchanged by the field's introduction. kFull, kDelta
-  // and kVerify share one tag: their truth tables are bit-identical, so
-  // their checkpoints interchange freely — but never with the per-chunk
-  // patchwork semantics of kOff.
-  if (options.delta_solve != DeltaSolveMode::kOff) fp.AddU64(0x64656c7461u);  // "delta"
+  // Appended only for consistent runs, so patchwork fingerprints are
+  // unchanged by the field's introduction and a patchwork checkpoint never
+  // resumes into a consistent run. The tag value ("delta") predates the
+  // mode's name; it is kept so checkpoints of the older full/on/verify
+  // modes, whose truth tables were bit-identical to kConsistent's, resume.
+  if (options.truth_mode == TruthMode::kConsistent) fp.AddU64(0x64656c7461u);  // "delta"
   return fp.Finish();
 }
 

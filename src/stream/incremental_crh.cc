@@ -14,6 +14,10 @@
 
 namespace crh {
 
+namespace {
+
+/// True for a claim the quarantine excludes (see KeepUnquarantinedClaims).
+/// Missing cells are never quarantinable.
 bool IsQuarantinableClaim(const Dataset& data, size_t m, const Value& v) {
   if (v.is_missing()) return false;
   if (data.schema().is_continuous(m)) {
@@ -21,6 +25,35 @@ bool IsQuarantinableClaim(const Dataset& data, size_t m, const Value& v) {
   }
   return !v.is_categorical() || v.category() < 0 ||
          static_cast<size_t>(v.category()) >= data.dict(m).size();
+}
+
+}  // namespace
+
+const Dataset& KeepUnquarantinedClaims(const Dataset& chunk, Dataset* sanitized,
+                                       std::vector<uint64_t>* quarantined) {
+  // The clean copy is only materialized when something is actually bad,
+  // so well-formed streams pay one read-only scan.
+  bool any_bad = false;
+  for (size_t k = 0; k < chunk.num_sources() && !any_bad; ++k) {
+    for (size_t i = 0; i < chunk.num_objects() && !any_bad; ++i) {
+      for (size_t m = 0; m < chunk.num_properties() && !any_bad; ++m) {
+        any_bad = IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m));
+      }
+    }
+  }
+  if (!any_bad) return chunk;
+  *sanitized = chunk;
+  for (size_t k = 0; k < chunk.num_sources(); ++k) {
+    for (size_t i = 0; i < chunk.num_objects(); ++i) {
+      for (size_t m = 0; m < chunk.num_properties(); ++m) {
+        if (IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m))) {
+          sanitized->mutable_observations(k).Clear(i, m);
+          if (quarantined != nullptr) ++(*quarantined)[k];
+        }
+      }
+    }
+  }
+  return *sanitized;
 }
 
 IncrementalCrhProcessor::IncrementalCrhProcessor(size_t num_sources,
@@ -84,33 +117,11 @@ Result<ValueTable> IncrementalCrhProcessor::ProcessChunk(const Dataset& chunk) {
                                 chunk.num_properties()),
                        "supervision table shape does not match the chunk");
   // Quarantine pass: exclude malformed claims rather than aborting the
-  // stream. The clean copy is only materialized when something is actually
-  // bad, so well-formed streams pay one read-only scan.
+  // stream.
   const Dataset* active = &chunk;
   Dataset sanitized;
   if (options_.quarantine_bad_claims) {
-    bool any_bad = false;
-    for (size_t k = 0; k < chunk.num_sources() && !any_bad; ++k) {
-      for (size_t i = 0; i < chunk.num_objects() && !any_bad; ++i) {
-        for (size_t m = 0; m < chunk.num_properties() && !any_bad; ++m) {
-          any_bad = IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m));
-        }
-      }
-    }
-    if (any_bad) {
-      sanitized = chunk;
-      for (size_t k = 0; k < chunk.num_sources(); ++k) {
-        for (size_t i = 0; i < chunk.num_objects(); ++i) {
-          for (size_t m = 0; m < chunk.num_properties(); ++m) {
-            if (IsQuarantinableClaim(chunk, m, chunk.observations(k).Get(i, m))) {
-              sanitized.mutable_observations(k).Clear(i, m);
-              ++quarantined_[k];
-            }
-          }
-        }
-      }
-      active = &sanitized;
-    }
+    active = &KeepUnquarantinedClaims(chunk, &sanitized, &quarantined_);
   } else {
     // Without quarantine a malformed claim must fail the chunk loudly here:
     // a NaN that reaches the truth kernels poisons the weighted medians and

@@ -28,22 +28,22 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Open(
     return Status::InvalidArgument("resume requires a checkpoint directory");
   }
   CRH_RETURN_NOT_OK(ValidateRetryPolicy(resilience.retry));
-  const bool delta_active = options.delta_solve != DeltaSolveMode::kOff;
-  if (delta_active && options.base.supervision != nullptr) {
+  const bool consistent = options.truth_mode == TruthMode::kConsistent;
+  if (consistent && options.base.supervision != nullptr) {
     return Status::InvalidArgument(
-        "delta_solve maintains truths in the parent entry space and cannot apply the "
-        "chunk-shaped supervision clamp; use DeltaSolveMode::kOff with supervision");
+        "the consistent truth mode solves in the parent entry space and cannot apply the "
+        "chunk-shaped supervision clamp; use TruthMode::kPatchwork with supervision");
   }
 
   // The constructor is private so Open is the only way in; make_unique
   // cannot reach it, hence the immediately-owned naked new.
   std::unique_ptr<StreamEngine> engine(
       new StreamEngine(parent, options, resilience));  // lint:allow(naked-new)
-  if (delta_active) {
-    engine->store_.emplace(parent.num_objects(), parent.num_properties(),
-                           parent.num_sources());
+  if (consistent) {
+    ConsistentState& state = engine->consistent_.emplace();
+    state.claims = ClaimIndex::CreateEmpty(parent.num_objects(), parent.num_properties());
     if (ThreadPool::ResolveNumThreads(options.base.num_threads) > 1) {
-      engine->delta_pool_ = std::make_unique<ThreadPool>(options.base.num_threads);
+      state.pool = std::make_unique<ThreadPool>(options.base.num_threads);
     }
   }
   if (checkpointing) {
@@ -82,35 +82,36 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Open(
   return engine;
 }
 
+void StreamEngine::AppendClaims(const DataChunk& chunk) {
+  // The index must hold exactly the claims the weights were learned from.
+  // Without quarantine an applied chunk has no quarantinable claim (its
+  // ProcessChunk would have failed), so the filter only scans.
+  Dataset sanitized;
+  consistent_->claims.Append(KeepUnquarantinedClaims(chunk.data, &sanitized, nullptr),
+                             chunk.parent_object);
+}
+
 Status StreamEngine::ApplyChunk(const DataChunk& chunk, bool force_checkpoint) {
   if (applied_ < resumed_) {
     // Replay: the restored checkpoint already covers this chunk. Its
     // weights and truths came from the checkpoint (whose fingerprint tag
-    // guarantees they were maintained under the delta invariant); only the
-    // cumulative claim index needs the chunk's claims back.
-    if (store_) {
-      store_->AppendChunk(chunk.data, chunk.parent_object,
-                          options_.quarantine_bad_claims);
-    }
+    // guarantees they were kept in this truth mode); only the consistent
+    // mode's claim index needs the chunk's claims back.
+    if (consistent_) AppendClaims(chunk);
     ++applied_;
     return Status::OK();
   }
   CRH_FAIL_POINT("stream.process_chunk");
-  // The weight snapshot before the refresh bounds the delta fan-out.
-  if (store_) prev_weights_ = processor_.source_weights();
   auto truths = processor_.ProcessChunk(chunk.data);
   if (!truths.ok()) return truths.status();
-  if (store_) {
-    // Maintain `truths == truth-update(claims so far, current weights)`:
-    // fold the chunk's claims in, then re-solve under the refreshed
-    // weights. The per-chunk truths ProcessChunk returned were computed
-    // under the pre-refresh weights and are superseded.
-    store_->AppendChunk(chunk.data, chunk.parent_object,
-                        options_.quarantine_bad_claims);
-    CRH_RETURN_NOT_OK(store_->Resolve(*parent_, prev_weights_,
-                                      processor_.source_weights(), options_.base,
-                                      delta_pool_.get(), options_.delta_solve,
-                                      &truths_));
+  if (consistent_) {
+    // The per-chunk truths ProcessChunk returned were computed under the
+    // pre-refresh weights; Eq 3 over every stored claim at the refreshed
+    // weights supersedes them.
+    AppendClaims(chunk);
+    ConsistentState& state = *consistent_;
+    truths_ = ComputeTruthsGivenWeights(*parent_, state.claims, processor_.source_weights(),
+                                        options_.base, state.pool.get(), state.workspace);
   } else {
     for (size_t local = 0; local < chunk.parent_object.size(); ++local) {
       for (size_t m = 0; m < parent_->num_properties(); ++m) {
@@ -156,7 +157,6 @@ IncrementalCrhResult StreamEngine::Finish() && {
   result.chunks_resumed = resumed_;
   result.checkpoints_written = checkpoints_written_;
   result.resumed_from_fallback = resumed_from_fallback_;
-  if (store_) result.delta_stats = store_->stats();
   return result;
 }
 

@@ -14,11 +14,18 @@
 /// exactly that: it compares a SIGKILLed-and-resumed server against an
 /// uninterrupted batch run byte for byte.
 ///
+/// The engine keeps the fused truth table in one of two TruthModes
+/// (stream/incremental_crh.h). kPatchwork scatters each chunk's truths into
+/// the table. kConsistent folds each chunk's kept claims into one
+/// cumulative ClaimIndex over the parent entry space, in which a repeated
+/// (entry, source) claim replaces the earlier one, and re-solves every
+/// entry at the current weights with one full truth pass.
+///
 /// Replay contract: after Open() with resume, chunks_resumed() reports how
 /// many chunks the restored checkpoint already covers. Callers must still
 /// submit those chunks, in order, through ApplyChunk(): the engine absorbs
-/// them as cheap replays — delta-maintained runs re-index their claims,
-/// nothing is re-solved, no fail points fire, no checkpoints are written.
+/// them as cheap replays — consistent runs re-index their claims, nothing
+/// is re-solved, no fail points fire, no checkpoints are written.
 /// This keeps resume purely sequential for at-least-once transports: the
 /// batch driver just iterates from chunk 0, and the server acks replayed
 /// sequence numbers while clients re-send from the start of the stream.
@@ -33,21 +40,22 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/crh.h"
+#include "data/claim_index.h"
 #include "stream/checkpoint.h"
 #include "stream/chunks.h"
-#include "stream/delta_solve.h"
 #include "stream/incremental_crh.h"
 
 namespace crh {
 
 /// The resident streaming solver. Owns the I-CRH processor, the fused truth
-/// table, the optional delta-re-solve claim store, and the checkpoint
-/// manager; one ApplyChunk() call performs exactly one step of the loop the
+/// table, the consistent mode's claim index, and the checkpoint manager;
+/// one ApplyChunk() call performs exactly one step of the loop the
 /// resilient batch driver used to run inline.
 class StreamEngine {
  public:
-  /// Validates the options, builds the processor (and delta store when
-  /// delta_solve is active), and — when `resilience.resume` is set —
+  /// Validates the options, builds the processor (and, in consistent
+  /// mode, an empty claim index), and — when `resilience.resume` is set —
   /// restores the newest compatible checkpoint. A missing checkpoint is a
   /// cold start, not an error. `parent` must outlive the engine: it is the
   /// entry space truths are maintained in, and chunks submitted later must
@@ -74,12 +82,13 @@ class StreamEngine {
   uint64_t last_checkpoint_chunks() const { return last_checkpoint_chunks_; }
 
   /// Applies the next chunk in sequence. Chunks below chunks_resumed() are
-  /// replays (claims re-indexed for delta runs, nothing solved); beyond it
-  /// the chunk runs one full I-CRH step — truth pass, deviation
-  /// accumulation, weight refresh, delta re-solve — followed by a
-  /// checkpoint when the cadence (checkpoint_every) or `force_checkpoint`
-  /// says so. The fail-point site "stream.process_chunk" fires once per
-  /// non-replay chunk before it is processed.
+  /// replays (claims re-indexed in consistent mode, nothing solved); beyond
+  /// it the chunk runs one full I-CRH step — truth pass, deviation
+  /// accumulation, weight refresh, and in consistent mode the claim append
+  /// and full truth pass — followed by a checkpoint when the cadence
+  /// (checkpoint_every) or `force_checkpoint` says so. The fail-point site
+  /// "stream.process_chunk" fires once per non-replay chunk before it is
+  /// processed.
   [[nodiscard]] Status ApplyChunk(const DataChunk& chunk, bool force_checkpoint);
 
   /// Writes a checkpoint of the current state regardless of cadence; the
@@ -102,9 +111,6 @@ class StreamEngine {
     return weight_history_;
   }
   const std::vector<int64_t>& chunk_starts() const { return chunk_starts_; }
-  DeltaSolveStats delta_stats() const {
-    return store_ ? store_->stats() : DeltaSolveStats{};
-  }
 
   /// Assembles the batch IncrementalCrhResult, consuming the engine.
   IncrementalCrhResult Finish() &&;
@@ -113,6 +119,18 @@ class StreamEngine {
   StreamEngine(const Dataset& parent, const IncrementalCrhOptions& options,
                const StreamResilienceOptions& resilience);
 
+  /// Consistent mode: folds the chunk's kept claims into the claim index.
+  void AppendClaims(const DataChunk& chunk);
+
+  /// Consistent mode's state: every kept claim so far in the parent entry
+  /// space, and the full truth pass's scratch and pool (the processor's
+  /// pool is private to it).
+  struct ConsistentState {
+    ClaimIndex claims;
+    SolverWorkspace workspace;
+    std::unique_ptr<ThreadPool> pool;
+  };
+
   const Dataset* parent_;
   IncrementalCrhOptions options_;
   StreamResilienceOptions resilience_;
@@ -120,10 +138,8 @@ class StreamEngine {
   ValueTable truths_;
   std::vector<std::vector<double>> weight_history_;
   std::vector<int64_t> chunk_starts_;
-  /// Cumulative claim store for delta-maintained runs (and its own pool:
-  /// the processor's is private to it).
-  std::optional<DeltaTruthStore> store_;
-  std::unique_ptr<ThreadPool> delta_pool_;
+  /// Set in consistent mode only.
+  std::optional<ConsistentState> consistent_;
   std::optional<CheckpointManager> manager_;
   uint64_t fingerprint_ = 0;
   uint64_t applied_ = 0;
@@ -131,8 +147,6 @@ class StreamEngine {
   uint64_t checkpoints_written_ = 0;
   uint64_t last_checkpoint_chunks_ = 0;
   bool resumed_from_fallback_ = false;
-  /// Scratch: weight snapshot before each refresh (bounds the delta fan-out).
-  std::vector<double> prev_weights_;
 };
 
 }  // namespace crh

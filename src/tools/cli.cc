@@ -1,8 +1,12 @@
 #include "tools/cli.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "analysis/invariants.h"
 #include "baselines/baselines.h"
@@ -61,12 +65,40 @@ std::string UsageString() {
       "  --quarantine         icrh: exclude malformed claims (non-finite numbers,\n"
       "                       unknown labels) and report them per source instead\n"
       "                       of failing the stream\n"
-      "  --delta-solve M      icrh: fused-truth maintenance: off (default; each\n"
-      "                       chunk's truths are frozen at its own weight\n"
-      "                       snapshot), full (full re-solve under the current\n"
-      "                       weights after every chunk), on (dirty-set delta\n"
-      "                       re-solve; bit-identical to full), verify (delta\n"
-      "                       plus a shadow full re-solve, bit-compared)\n";
+      "  --truth-mode M       icrh: patchwork (default; each chunk's truths are\n"
+      "                       frozen at the weights before its refresh, as in\n"
+      "                       Algorithm 2) or consistent (after every chunk,\n"
+      "                       every claim so far is re-solved at the current\n"
+      "                       weights; a repeated claim replaces the earlier one)\n";
+}
+
+template <typename T>
+Result<T> ParseNumericFlag(const std::string& flag, const std::string& value, T min, T max) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || stop != end) {
+    return Status::InvalidArgument(flag + " expects a number, got '" + value + "'");
+  }
+  // Negated so a NaN fails the range too.
+  if (error != std::errc() || !(parsed >= min && parsed <= max)) {
+    std::ostringstream message;
+    message << flag << " must be in [" << min << ", " << max << "], got '" << value << "'";
+    return Status::InvalidArgument(message.str());
+  }
+  return parsed;
+}
+
+template Result<int64_t> ParseNumericFlag(const std::string&, const std::string&, int64_t,
+                                          int64_t);
+template Result<double> ParseNumericFlag(const std::string&, const std::string&, double,
+                                         double);
+
+Result<TruthMode> ParseTruthMode(const std::string& value) {
+  if (value == "patchwork") return TruthMode::kPatchwork;
+  if (value == "consistent") return TruthMode::kConsistent;
+  return Status::InvalidArgument("--truth-mode must be patchwork or consistent, got '" +
+                                 value + "'");
 }
 
 Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
@@ -81,6 +113,15 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       *into = args[++i];
       return Status::OK();
     };
+    const auto take_number = [&](auto* into, auto min, auto max) -> Status {
+      std::string text;
+      CRH_RETURN_NOT_OK(take(&text));
+      auto number = ParseNumericFlag(arg, text, min, max);
+      if (!number.ok()) return number.status();
+      *into = static_cast<std::remove_reference_t<decltype(*into)>>(*number);
+      return Status::OK();
+    };
+    constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
     std::string value;
     if (arg == "--schema") {
       CRH_RETURN_NOT_OK(take(&options.schema_spec));
@@ -100,39 +141,26 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
         return Status::InvalidArgument("--weights must be max or sum");
       }
     } else if (arg == "--window") {
-      CRH_RETURN_NOT_OK(take(&value));
-      options.window = std::atoll(value.c_str());
-      if (options.window < 1) return Status::InvalidArgument("--window must be >= 1");
+      CRH_RETURN_NOT_OK(take_number(&options.window, int64_t{1}, kNoMax));
     } else if (arg == "--decay") {
-      CRH_RETURN_NOT_OK(take(&value));
-      options.decay = std::atof(value.c_str());
-      if (options.decay < 0 || options.decay > 1) {
-        return Status::InvalidArgument("--decay must be in [0, 1]");
-      }
+      CRH_RETURN_NOT_OK(take_number(&options.decay, 0.0, 1.0));
     } else if (arg == "--reducers") {
-      CRH_RETURN_NOT_OK(take(&value));
-      options.reducers = std::atoi(value.c_str());
-      if (options.reducers < 1) return Status::InvalidArgument("--reducers must be >= 1");
+      CRH_RETURN_NOT_OK(take_number(&options.reducers, int64_t{1}, int64_t{INT_MAX}));
     } else if (arg == "--verify") {
       options.verify = true;
     } else if (arg == "--checkpoint-dir") {
       CRH_RETURN_NOT_OK(take(&options.checkpoint_dir));
     } else if (arg == "--checkpoint-every") {
-      CRH_RETURN_NOT_OK(take(&value));
-      options.checkpoint_every = std::atoll(value.c_str());
-      if (options.checkpoint_every < 1) {
-        return Status::InvalidArgument("--checkpoint-every must be >= 1");
-      }
+      CRH_RETURN_NOT_OK(take_number(&options.checkpoint_every, int64_t{1}, kNoMax));
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--quarantine") {
       options.quarantine = true;
-    } else if (arg == "--delta-solve") {
-      CRH_RETURN_NOT_OK(take(&options.delta_solve));
-      if (options.delta_solve != "off" && options.delta_solve != "full" &&
-          options.delta_solve != "on" && options.delta_solve != "verify") {
-        return Status::InvalidArgument("--delta-solve must be off, full, on or verify");
-      }
+    } else if (arg == "--truth-mode") {
+      CRH_RETURN_NOT_OK(take(&value));
+      auto mode = ParseTruthMode(value);
+      if (!mode.ok()) return mode.status();
+      options.truth_mode = *mode;
     } else {
       return Status::InvalidArgument("unknown flag '" + arg + "'\n" + UsageString());
     }
@@ -144,10 +172,10 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
     return Status::InvalidArgument("--resume requires --checkpoint-dir");
   }
   if ((!options.checkpoint_dir.empty() || options.resume || options.quarantine ||
-       options.delta_solve != "off") &&
+       options.truth_mode != TruthMode::kPatchwork) &&
       options.algorithm != "icrh") {
     return Status::InvalidArgument(
-        "--checkpoint-dir, --resume, --quarantine and --delta-solve apply to "
+        "--checkpoint-dir, --resume, --quarantine and --truth-mode apply to "
         "--algorithm icrh only");
   }
   return options;
@@ -231,13 +259,7 @@ Result<AlgorithmOutput> RunAlgorithm(const CliOptions& options, const Dataset& d
     icrh_options.window_size = options.window;
     icrh_options.decay = options.decay;
     icrh_options.quarantine_bad_claims = options.quarantine;
-    if (options.delta_solve == "full") {
-      icrh_options.delta_solve = DeltaSolveMode::kFull;
-    } else if (options.delta_solve == "on") {
-      icrh_options.delta_solve = DeltaSolveMode::kDelta;
-    } else if (options.delta_solve == "verify") {
-      icrh_options.delta_solve = DeltaSolveMode::kVerify;
-    }
+    icrh_options.truth_mode = options.truth_mode;
     StreamResilienceOptions resilience;
     resilience.checkpoint_dir = options.checkpoint_dir;
     resilience.checkpoint_every = static_cast<uint64_t>(options.checkpoint_every);
@@ -255,15 +277,6 @@ Result<AlgorithmOutput> RunAlgorithm(const CliOptions& options, const Dataset& d
     if (!options.checkpoint_dir.empty()) {
       output.notes.push_back("wrote " + std::to_string(result->checkpoints_written) +
                              " checkpoint(s) to " + options.checkpoint_dir);
-    }
-    if (icrh_options.delta_solve != DeltaSolveMode::kOff) {
-      const DeltaSolveStats& ds = result->delta_stats;
-      output.notes.push_back(
-          "delta re-solve: ran " + std::to_string(ds.entries_resolved) + " of the " +
-          std::to_string(ds.entries_full) + " entry updates full re-solving would run" +
-          (options.delta_solve == "verify"
-               ? " (every chunk verified bit-identical to the full re-solve)"
-               : ""));
     }
     if (options.quarantine) {
       uint64_t total = 0;

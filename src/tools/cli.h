@@ -21,6 +21,7 @@
 
 #include "common/status.h"
 #include "data/schema.h"
+#include "stream/incremental_crh.h"
 
 namespace crh::cli {
 
@@ -48,15 +49,25 @@ struct CliOptions {
   bool resume = false;
   /// icrh: quarantine malformed claims instead of failing the stream.
   bool quarantine = false;
-  /// icrh: fused-truth maintenance — "off" (legacy per-chunk patchwork),
-  /// "full" (full re-solve per chunk), "on" (dirty-set delta re-solve) or
-  /// "verify" (delta + shadow full re-solve, bit-compared every chunk).
-  std::string delta_solve = "off";
+  /// icrh: what the fused truth table means (--truth-mode).
+  TruthMode truth_mode = TruthMode::kPatchwork;
 };
 
 /// Parses argv into CliOptions. Returns InvalidArgument with a usage hint
 /// on unknown flags, missing values or missing required options.
 [[nodiscard]] Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args);
+
+/// Parses the value of the numeric flag \p flag, for crh_cli and crh_serve
+/// alike. The whole value must be one number of type T (no whitespace, no
+/// '+', nothing after it) within [min, max]; anything else, including an
+/// empty value, is InvalidArgument naming the flag. Defined for int64_t
+/// and double.
+template <typename T>
+[[nodiscard]] Result<T> ParseNumericFlag(const std::string& flag, const std::string& value,
+                                         T min, T max);
+
+/// Parses the value of --truth-mode: "patchwork" or "consistent".
+[[nodiscard]] Result<TruthMode> ParseTruthMode(const std::string& value);
 
 /// Parses a schema spec "name:type,name:type,..." where type is
 /// continuous | categorical | text. An optional ":unit" suffix on

@@ -18,10 +18,12 @@
 
 #include <sys/signalfd.h>
 
+#include <climits>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -43,7 +45,7 @@ std::string Usage() {
       "  --window N           timestamps per chunk window (default 1)\n"
       "  --decay A            decay rate in [0,1] (default 0.5)\n"
       "  --quarantine         quarantine malformed claims instead of failing\n"
-      "  --delta-solve M      off (default) | full | on | verify\n"
+      "  --truth-mode M       patchwork (default) | consistent; see crh_cli --help\n"
       "  --threads N          solver threads (default 1; 0 = hardware)\n"
       "  --queue-capacity N   ingest admission queue bound (default 8)\n"
       "  --retry-after-ms N   retry hint returned on shed ingests (default 50)\n"
@@ -63,7 +65,7 @@ struct ServeArgs {
   int64_t window = 1;
   double decay = 0.5;
   bool quarantine = false;
-  std::string delta_solve = "off";
+  crh::TruthMode truth_mode = crh::TruthMode::kPatchwork;
   int threads = 1;
   int64_t queue_capacity = 8;
   int64_t retry_after_ms = 50;
@@ -82,12 +84,15 @@ crh::Result<ServeArgs> ParseArgs(const std::vector<std::string>& args) {
       }
       return args[++i];
     };
-    const auto take_int = [&](int64_t* into) -> crh::Status {
+    const auto take_number = [&](auto* into, auto min, auto max) -> crh::Status {
       auto value = take();
       if (!value.ok()) return value.status();
-      *into = std::atoll(value->c_str());
+      auto number = crh::cli::ParseNumericFlag(arg, *value, min, max);
+      if (!number.ok()) return number.status();
+      *into = static_cast<std::remove_reference_t<decltype(*into)>>(*number);
       return crh::Status::OK();
     };
+    constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
     if (arg == "--socket") {
       auto value = take();
       if (!value.ok()) return value.status();
@@ -105,33 +110,31 @@ crh::Result<ServeArgs> ParseArgs(const std::vector<std::string>& args) {
       if (!value.ok()) return value.status();
       parsed.checkpoint_dir = *value;
     } else if (arg == "--checkpoint-every") {
-      CRH_RETURN_NOT_OK(take_int(&parsed.checkpoint_every));
+      CRH_RETURN_NOT_OK(take_number(&parsed.checkpoint_every, int64_t{1}, kNoMax));
     } else if (arg == "--resume") {
       parsed.resume = true;
     } else if (arg == "--window") {
-      CRH_RETURN_NOT_OK(take_int(&parsed.window));
+      CRH_RETURN_NOT_OK(take_number(&parsed.window, int64_t{1}, kNoMax));
     } else if (arg == "--decay") {
-      auto value = take();
-      if (!value.ok()) return value.status();
-      parsed.decay = std::atof(value->c_str());
+      CRH_RETURN_NOT_OK(take_number(&parsed.decay, 0.0, 1.0));
     } else if (arg == "--quarantine") {
       parsed.quarantine = true;
-    } else if (arg == "--delta-solve") {
+    } else if (arg == "--truth-mode") {
       auto value = take();
       if (!value.ok()) return value.status();
-      parsed.delta_solve = *value;
+      auto mode = crh::cli::ParseTruthMode(*value);
+      if (!mode.ok()) return mode.status();
+      parsed.truth_mode = *mode;
     } else if (arg == "--threads") {
-      int64_t threads = 1;
-      CRH_RETURN_NOT_OK(take_int(&threads));
-      parsed.threads = static_cast<int>(threads);
+      CRH_RETURN_NOT_OK(take_number(&parsed.threads, int64_t{0}, int64_t{INT_MAX}));
     } else if (arg == "--queue-capacity") {
-      CRH_RETURN_NOT_OK(take_int(&parsed.queue_capacity));
+      CRH_RETURN_NOT_OK(take_number(&parsed.queue_capacity, int64_t{1}, kNoMax));
     } else if (arg == "--retry-after-ms") {
-      CRH_RETURN_NOT_OK(take_int(&parsed.retry_after_ms));
+      CRH_RETURN_NOT_OK(take_number(&parsed.retry_after_ms, int64_t{0}, kNoMax));
     } else if (arg == "--io-timeout-ms") {
-      CRH_RETURN_NOT_OK(take_int(&parsed.io_timeout_ms));
+      CRH_RETURN_NOT_OK(take_number(&parsed.io_timeout_ms, int64_t{1}, int64_t{INT_MAX}));
     } else if (arg == "--max-connections") {
-      CRH_RETURN_NOT_OK(take_int(&parsed.max_connections));
+      CRH_RETURN_NOT_OK(take_number(&parsed.max_connections, int64_t{1}, int64_t{INT_MAX}));
     } else if (arg == "--fail-point") {
       auto value = take();
       if (!value.ok()) return value.status();
@@ -145,19 +148,7 @@ crh::Result<ServeArgs> ParseArgs(const std::vector<std::string>& args) {
     return crh::Status::InvalidArgument(
         "--socket, --schema and --universe are required\n" + Usage());
   }
-  if (parsed.queue_capacity < 1 || parsed.max_connections < 1 ||
-      parsed.io_timeout_ms < 1 || parsed.retry_after_ms < 0) {
-    return crh::Status::InvalidArgument("server limits must be positive");
-  }
   return parsed;
-}
-
-crh::Result<crh::DeltaSolveMode> ParseDeltaSolve(const std::string& mode) {
-  if (mode == "off") return crh::DeltaSolveMode::kOff;
-  if (mode == "full") return crh::DeltaSolveMode::kFull;
-  if (mode == "on") return crh::DeltaSolveMode::kDelta;
-  if (mode == "verify") return crh::DeltaSolveMode::kVerify;
-  return crh::Status::InvalidArgument("--delta-solve must be off, full, on or verify");
 }
 
 int Run(const std::vector<std::string>& args) {
@@ -190,18 +181,11 @@ int Run(const std::vector<std::string>& args) {
   options.window_size = parsed->window;
   options.quarantine_bad_claims = parsed->quarantine;
   options.base.num_threads = parsed->threads;
-  auto delta = ParseDeltaSolve(parsed->delta_solve);
-  if (!delta.ok()) {
-    std::cerr << "crh_serve: " << delta.status().ToString() << "\n";
-    return 2;
-  }
-  options.delta_solve = *delta;
+  options.truth_mode = parsed->truth_mode;
 
   crh::StreamResilienceOptions resilience;
   resilience.checkpoint_dir = parsed->checkpoint_dir;
-  resilience.checkpoint_every = parsed->checkpoint_every < 1
-                                    ? 1u
-                                    : static_cast<uint64_t>(parsed->checkpoint_every);
+  resilience.checkpoint_every = static_cast<uint64_t>(parsed->checkpoint_every);
   resilience.resume = parsed->resume;
 
   // SIGTERM/SIGINT arrive on a signalfd the acceptor polls, so shutdown is

@@ -149,6 +149,57 @@ TEST(ClaimIndexTest, AppendedChunksMatchFullRebuild) {
     incremental.Append(chunk.data, chunk.parent_object);
   }
   ExpectIndexesIdentical(ClaimIndex::Build(data), incremental);
+
+  // A stream with repeated claims: chunks 1 and 3 arrive again, carrying
+  // every other cell with a new value, some where the source claimed
+  // before and some where it was silent. Each repeated (entry, source)
+  // claim replaces the earlier one, so the appended index must equal
+  // Build over the latest claims.
+  Dataset latest = data;
+  std::vector<DataChunk> stream = *chunks;
+  for (const size_t c : {size_t{1}, size_t{3}}) {
+    DataChunk revised = (*chunks)[c];
+    for (size_t k = 0; k < revised.data.num_sources(); ++k) {
+      for (size_t i = 0; i < revised.data.num_objects(); ++i) {
+        for (size_t m = 0; m < revised.data.num_properties(); ++m) {
+          revised.data.mutable_observations(k).Clear(i, m);
+          if ((k + i + m) % 2 != 0) continue;
+          const Value v = m == 0 ? Value::Continuous(100.0 + static_cast<double>(k * 7 + i))
+                                 : Value::Categorical(static_cast<CategoryId>((k + i) % 3));
+          revised.data.SetObservation(k, i, m, v);
+          latest.SetObservation(k, revised.parent_object[i], m, v);
+        }
+      }
+    }
+    stream.push_back(std::move(revised));
+  }
+  ClaimIndex latest_wins =
+      ClaimIndex::CreateEmpty(data.num_objects(), data.num_properties());
+  for (const DataChunk& chunk : stream) {
+    latest_wins.Append(chunk.data, chunk.parent_object);
+  }
+  ExpectIndexesIdentical(ClaimIndex::Build(latest), latest_wins);
+}
+
+TEST(ClaimIndexTest, AppendKeepsCapacityWithinTwiceTheClaims) {
+  // A long stream of small chunks, every fifth one repeating an earlier
+  // object: the claim arrays grow only when full, so their capacity stays
+  // within 2x the claims they hold after every append.
+  constexpr size_t kAppends = 250;
+  Schema schema;
+  ASSERT_TRUE(schema.AddContinuous("x", 0.0).ok());
+  const std::vector<std::string> sources = {"s0", "s1", "s2", "s3"};
+  ClaimIndex index = ClaimIndex::CreateEmpty(kAppends, 1);
+  for (size_t t = 0; t < kAppends; ++t) {
+    const size_t object = t % 5 == 4 ? t / 2 : t;
+    Dataset chunk(schema, {"o" + std::to_string(object)}, sources);
+    for (size_t k = 0; k < sources.size(); ++k) {
+      chunk.SetObservation(k, 0, 0, Value::Continuous(static_cast<double>(t + k)));
+    }
+    index.Append(chunk, {object});
+    ASSERT_LE(index.claim_capacity(), 2 * index.num_claims()) << "after append " << t;
+  }
+  EXPECT_LT(index.num_claims(), kAppends * sources.size());
 }
 
 TEST(ClaimIndexTest, AppendMergesInterleavedSourcesWithinEntry) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/fault_injection.h"
@@ -53,8 +54,55 @@ TEST(CliParseTest, RejectsBadValues) {
                    .ok());
   EXPECT_FALSE(
       ParseCliArgs({"--schema", "x:continuous", "--input", "a", "--decay", "1.5"}).ok());
+  // Non-numbers are rejected, not read as 0.
+  EXPECT_FALSE(
+      ParseCliArgs({"--schema", "x:continuous", "--input", "a", "--decay", "abc"}).ok());
+  EXPECT_FALSE(
+      ParseCliArgs({"--schema", "x:continuous", "--input", "a", "--window", "2x"}).ok());
+  EXPECT_FALSE(
+      ParseCliArgs({"--schema", "x:continuous", "--input", "a", "--reducers", ""}).ok());
   EXPECT_FALSE(ParseCliArgs({"--bogus"}).ok());
   EXPECT_FALSE(ParseCliArgs({"--schema"}).ok());  // missing value
+}
+
+TEST(CliParseTest, NumericFlagsAreParsedStrictly) {
+  // The one parser behind every numeric flag of crh_cli and crh_serve.
+  constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(*ParseNumericFlag<int64_t>("--threads", "0", 0, 1024), 0);
+  EXPECT_EQ(*ParseNumericFlag<int64_t>("--window", "42", 1, kNoMax), 42);
+  EXPECT_DOUBLE_EQ(*ParseNumericFlag("--decay", "0.25", 0.0, 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(*ParseNumericFlag("--decay", "1e-3", 0.0, 1.0), 1e-3);
+  // crh_serve --threads abc used to mean every hardware thread.
+  for (const char* bad : {"abc", "", "4x", " 4", "4 ", "+4", "4.0", "0x10"}) {
+    EXPECT_FALSE(ParseNumericFlag<int64_t>("--threads", bad, 0, 1024).ok()) << bad;
+  }
+  // --decay abc used to mean decay 0 in both binaries.
+  for (const char* bad : {"abc", "", "0.5x", "nan", "inf", "1.5", "-0.1", "1e999"}) {
+    EXPECT_FALSE(ParseNumericFlag("--decay", bad, 0.0, 1.0).ok()) << bad;
+  }
+  // crh_serve --checkpoint-every 0 used to be coerced to 1.
+  EXPECT_FALSE(ParseNumericFlag<int64_t>("--checkpoint-every", "0", 1, kNoMax).ok());
+  EXPECT_FALSE(
+      ParseNumericFlag<int64_t>("--window", "99999999999999999999", 1, kNoMax).ok());
+  const Status range = ParseNumericFlag<int64_t>("--threads", "-1", 0, 1024).status();
+  EXPECT_EQ(range.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(range.message().find("--threads"), std::string::npos);
+}
+
+TEST(CliParseTest, TruthModeFlag) {
+  auto defaulted = ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
+                                 "--algorithm", "icrh"});
+  ASSERT_TRUE(defaulted.ok());
+  EXPECT_EQ(defaulted->truth_mode, TruthMode::kPatchwork);
+  auto consistent = ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
+                                  "--algorithm", "icrh", "--truth-mode", "consistent"});
+  ASSERT_TRUE(consistent.ok());
+  EXPECT_EQ(consistent->truth_mode, TruthMode::kConsistent);
+  EXPECT_FALSE(ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
+                             "--algorithm", "icrh", "--truth-mode", "full"}).ok());
+  // The truth mode is an icrh flag.
+  EXPECT_FALSE(ParseCliArgs({"--schema", "x:continuous", "--input", "a.csv",
+                             "--truth-mode", "consistent"}).ok());
 }
 
 TEST(CliParseTest, CheckpointFlags) {

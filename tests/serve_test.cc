@@ -16,6 +16,8 @@
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "core/crh.h"
+#include "data/claim_index.h"
 #include "data/csv.h"
 #include "datagen/noise.h"
 #include "serve/admission.h"
@@ -464,7 +466,7 @@ TEST_F(ServeHandlerTest, ServesEpochZeroBeforeAnyIngest) {
 TEST_F(ServeHandlerTest, IngestedStreamMatchesBatchDriverBitwise) {
   const Dataset data = MakeServeDataset();
   IncrementalCrhOptions options;
-  options.delta_solve = DeltaSolveMode::kDelta;
+  options.truth_mode = TruthMode::kConsistent;
 
   auto reference = RunIncrementalCrhResilient(data, options, {});
   ASSERT_TRUE(reference.ok());
@@ -498,6 +500,40 @@ TEST_F(ServeHandlerTest, IngestedStreamMatchesBatchDriverBitwise) {
   ASSERT_TRUE(truth.Find("ok")->bool_value);
   ASSERT_FALSE(reference->truths.Get(0, 0).is_missing());
   EXPECT_EQ(*truth.GetDouble("value"), reference->truths.Get(0, 0).continuous());
+
+  // One more chunk repeats source 0's claim on (d0_o0, x) with a new value.
+  // The source revises its report: the daemon acks, keeps ingesting, and
+  // serves Eq 3 over the latest claims at the served weights.
+  ASSERT_FALSE(data.observations(0).Get(0, 0).is_missing());
+  Dataset latest = data;
+  latest.SetObservation(0, 0, 0, Value::Continuous(123.25));
+  const std::string csv = "object_id,property,source_id,value\n" + data.object_id(0) + ",x," +
+                          data.source_id(0) + ",123.25\n";
+  JsonWriter repeat;
+  repeat.AddString("cmd", "ingest");
+  repeat.AddUint("seq", chunks->size());
+  repeat.AddInt("window_start", chunks->back().window_start + 1);
+  repeat.AddString("csv", csv);
+  auto ack = Reply(server.get(), std::move(repeat).Finish());
+  EXPECT_TRUE(ack.Find("ok")->bool_value);
+  EXPECT_EQ(ack.Find("duplicate"), nullptr);
+  AwaitChunksSolved(server.get(), chunks->size() + 1);
+  auto status = Reply(server.get(), R"({"cmd":"status"})");
+  EXPECT_FALSE(status.Find("ingest_failed")->bool_value);
+  const auto revised = server->publisher().Current();
+  ASSERT_NE(revised, nullptr);
+  const ValueTable want = ComputeTruthsGivenWeights(latest, ClaimIndex::Build(latest),
+                                                    revised->source_weights, options.base);
+  ASSERT_EQ(revised->truths.num_objects(), want.num_objects());
+  for (size_t i = 0; i < want.num_objects(); ++i) {
+    for (size_t m = 0; m < want.num_properties(); ++m) {
+      const Value& got = revised->truths.Get(i, m);
+      EXPECT_EQ(got, want.Get(i, m)) << "entry (" << i << ", " << m << ")";
+      if (got.is_continuous() && want.Get(i, m).is_continuous()) {
+        EXPECT_EQ(std::signbit(got.continuous()), std::signbit(want.Get(i, m).continuous()));
+      }
+    }
+  }
   DrainAndWait(server.get());
 }
 
