@@ -288,11 +288,6 @@ int Main(int argc, char** argv) {
                static_cast<unsigned long long>(seed), threads, scheme.c_str());
   std::fprintf(out, "  \"target_seconds_per_mode\": %.3f,\n", seconds_budget);
   std::fprintf(out, "  \"calibration_ns_per_op\": %.4f,\n", calibration_ns);
-#if defined(CRH_SIMD)
-  std::fprintf(out, "  \"simd\": true,\n");
-#else
-  std::fprintf(out, "  \"simd\": false,\n");
-#endif
   std::fprintf(out, "  \"modes\": [\n");
   for (size_t idx = 0; idx < results.size(); ++idx) {
     const ModeResult& r = results[idx];

@@ -80,8 +80,8 @@ def validate(report: dict, path: str) -> dict:
     if report.get("schema_version") != 2:
         fail(f"{path}: schema_version is {report.get('schema_version')!r}, expected 2")
     check_fields(report, {"workload": dict, "calibration_ns_per_op": (int, float),
-                          "target_seconds_per_mode": (int, float), "simd": bool,
-                          "modes": list}, path)
+                          "target_seconds_per_mode": (int, float), "modes": list},
+                 path)
     check_fields(report["workload"], WORKLOAD_FIELDS, f"{path}: workload")
     if report["calibration_ns_per_op"] <= 0:
         fail(f"{path}: calibration_ns_per_op must be positive")

@@ -1,161 +1,84 @@
 #!/usr/bin/env python3
-"""Whole-program dataflow analyzer for CRH's determinism and fault contracts.
+"""Static analyzer for CRH's determinism, locking, error and layering contracts.
 
-Where scripts/lint.py and scripts/ast_lint.py judge one line or one file at
-a time, this analyzer ingests compile_commands.json, builds a program model
-(function table + call graph) across every translation unit, and runs nine
-interprocedural checks. Four guard the repo's bit-identity and
-crash-recovery guarantees:
+One pass reads every C++ file under src tests bench examples fuzz and
+blanks comments and string contents once. Two kinds of rule share that
+pass. Line rules judge a line or a file. Whole-program checks judge a
+lexical program model built from src and bench: a function table and a
+cross-TU call graph, with the lock set held at every call site.
 
-  determinism-taint     Values derived from wall-clock time (`::now(`,
-                        `time(`, `clock_gettime`), unseeded RNG (`rand(`,
-                        `std::random_device`), the environment (`getenv`),
-                        pointer addresses (`reinterpret_cast<uintptr_t>`),
-                        or unordered-container iteration order must not
-                        flow — through calls and returns — into published
-                        truths, weights, checkpoints, or bench/CLI output.
-                        The barrier is `CRH_DETERMINISM_EXEMPT("why")`
-                        (src/common/determinism.h): a function carrying it
-                        vouches that nondeterminism does not escape its
-                        return value (e.g. Stopwatch, which only ever
-                        feeds timing reports).
-  status-path           Every call to a Status/Result-returning function
-                        is propagated, handled, or annotated. Reported
-                        per call-path: the finding names a representative
-                        entry-point → ... → offender chain so the blast
-                        radius of the dropped error is visible.
-  lock-order            Lock-acquisition order is extracted from MutexLock
-                        scopes across all TUs into a digraph; cycles are
-                        rejected, as is any call made while a lock is held
-                        into a function that (transitively) evaluates a
-                        fail point or invokes a std::function callback.
-  failpoint-dominance   Every raw I/O call (fopen/fwrite/rename/ofstream/
-                        std::filesystem mutation, socket/accept/recv/send,
-                        ...) in src/stream, src/common, src/data and
-                        src/serve must be dominated by a
-                        registered fail point in the same function, and
-                        every fail-point site string used must appear in a
-                        `*FailPointSites()` registry so fault-sweep tests
-                        cover it. Writes to stderr/stdout are exempt
-                        (crash reporting must not fault-inject).
+  rule                 scope                      flags
+  include-cc           all                        `#include` of a .cc file
+  naked-new            all but src/common         naked new/delete
+  determinism          all                        std::rand, srand, time(nullptr) seeding
+                       src/{core,weights,stream}  also any raw clock, rand(),
+                                                  std::random_device or getenv
+  raw-assert           all but tests              raw assert(); use CRH_CHECK
+  float-equality       src                        ==/!= on a float literal or a
+                                                  Value's continuous payload
+  unchecked-io-write   all                        fwrite/fflush/rename/fclose result
+                                                  dropped, `(void)` included
+  mutex-annotations    headers, and all of src    a lock member in a header that
+                                                  lacks common/thread_annotations.h or
+                                                  any CRH_* annotation; a mutex that no
+                                                  CRH_* annotation in its file names
+  unordered-iteration  src                        range-for over an unordered container
+  status-path          all                        a Status/Result call statement whose
+                                                  value is dropped (named with its
+                                                  call path when modeled), or a
+                                                  `(void)` cast of a Result
+  determinism-taint    model                      clock/RNG/env/address/unordered-order
+                                                  values reaching published output
+  lock-order           model                      lock-acquisition cycles; a fail
+                                                  point, callback, or call into either
+                                                  while a lock is held
+  failpoint-dominance  model: src/{stream,common, raw I/O not preceded by a fail
+                       data,serve}                point; fail-point site unregistered
+  taint                model: src/{serve,stream,  untrusted bytes reaching a size,
+                       data}                      index, length or loop bound unchecked
+  snapshot-lifetime    model: src/serve           a view of an epoch snapshot outliving
+                                                  its shared_ptr
+  arch                 model                      include/call edges against
+                                                  scripts/arch_layers.json
+  global-state         model: src but src/tools   mutable globals and static locals
+  hot                  model                      CRH_HOT kernels that (transitively)
+                                                  allocate, lock, block, throw or hit a
+                                                  fail point
 
-two reason about the serving daemon's attack surface (PR 9 turned the
-batch CLI into a socket server, so bytes now arrive from outside the
-process):
+docs/TOOLING.md describes each rule and its escape hatches. Suppress one
+line with a trailing `// analyzer:allow(<rule>)`. Findings are gated
+against scripts/crh_analyzer_baseline.txt (committed empty): new findings
+fail, and stale entries fail full-tree runs. Exit 0 clean, 1 findings, 2
+tooling error.
 
-  taint                 Byte-derived values are untrusted at their source
-                        — socket reads and protocol/chunk field decodes in
-                        src/serve (recv, ParseJsonObject, the JsonObject
-                        getters, ChunkCodec::Decode), CSV fields in
-                        src/data (SplitCsvLine, strtod/strtoll), and
-                        checkpoint payload reads in src/stream
-                        (DecodeCheckpoint, Cursor::Read*). Taint
-                        propagates through assignments and the cross-TU
-                        call graph (a function returning an unsanitized
-                        tainted value taints its callers' results) into
-                        sinks: allocation sizes (resize/reserve/new[]),
-                        container indexing and `.data() + offset`
-                        arithmetic, memcpy/memmove/memset lengths, and
-                        for-loop bounds. Every source→sink path must
-                        dominate through a sanitizer first: an `if`/
-                        CRH_CHECK/CRH_VERIFY_OR_RETURN range comparison
-                        naming the tainted value on an earlier (or the
-                        same) line, or the CRH_SANITIZED(expr, "why")
-                        escape hatch (src/common/taint.h). CRH_SANITIZED
-                        wrapping a value the analyzer does not track as
-                        tainted is itself a finding — the escape hatch
-                        may only bless real untrusted data.
-  snapshot-lifetime     No raw pointer, reference, or view derived from an
-                        epoch ServeSnapshot (src/serve/snapshot.h) may
-                        escape the scope of the owning shared_ptr: a
-                        view-returning function must not return
-                        `snap->...`/`snap.get()`, members must not store
-                        addresses derived from a snapshot, and lambdas
-                        must not capture a snapshot variable by
-                        reference. Copying values out, returning the
-                        shared_ptr itself, and by-value captures stay
-                        legal — they pin or outlive the epoch swap.
-
-plus three architecture-conformance checks (the layer contract lives in
-scripts/arch_layers.json; see docs/DESIGN.md for the diagram):
-
-  arch                  Every `#include "module/..."` and cross-TU call
-                        edge must point at the same module or a strictly
-                        earlier layer of the committed layer DAG. Peer
-                        modules within a layer may not depend on each
-                        other; headers listed under `private_headers` may
-                        only be included by the modules named there.
-  global-state          Library layers must be snapshot-safe: no mutable
-                        namespace-scope variables, no mutable function-
-                        local statics (singletons) anywhere under src/
-                        except src/tools. The escape hatch is
-                        CRH_GLOBAL_STATE_EXEMPT("why")
-                        (src/common/global_state.h): place it on or
-                        directly above a namespace-scope declaration, or
-                        anywhere in the function owning a static local.
-  hot                   Functions annotated CRH_HOT (src/common/hot.h) —
-                        the solver's per-shard kernels — must be
-                        real-time safe: no allocation (new/malloc/
-                        make_unique/container growth/std::to_string), no
-                        std::function construction or invocation, no
-                        Mutex acquisition, no blocking I/O, no throw, no
-                        fail-point evaluation — transitively, through
-                        every resolvable callee.
-
-Suppress one line with a trailing `// analyzer:allow(<rule>)`. Findings are
-gated against scripts/crh_analyzer_baseline.txt: new findings fail, stale
-entries fail (delete them or run --update-baseline). Exit 0 clean, 1
-findings, 2 tooling error.
-
-`--check=a,b` restricts a run (and the self-test gate) to a subset of
-checks; `--graph` prints the observed module graph as Graphviz dot;
-`--graph-svg OUT` renders the layer diagram as a deterministic SVG (CI
-diffs it against docs/architecture.svg to keep the picture honest).
-
-Backends: the tokenizer frontend (shared lexical machinery with
-ast_lint.py) is canonical and runs everywhere; with python3-clang
-installed, a hybrid libclang backend uses the real AST for function
-boundaries and qualified names and feeds the same intra-body extractor.
-Both must pass the embedded multi-TU self-test corpus before a tree run
-counts; a misbehaving libclang degrades loudly to the tokenizer.
-
-Usage: scripts/crh_analyzer.py [--compile-commands PATH] [--self-test]
-         [--backend=auto|libclang|token] [--check=LIST] [--graph]
-         [--graph-svg OUT.svg] [--sarif OUT.sarif] [--stats]
-         [--budget JSON] [--update-baseline] [--no-baseline] [paths...]
+Usage: scripts/crh_analyzer.py [--self-test] [--check=LIST] [--stats]
+         [--budget JSON] [--sarif OUT] [--graph-svg OUT]
+         [--update-baseline] [--no-baseline] [paths...]
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import re
 import sys
+import tempfile
 import time
+from typing import NamedTuple
 
-SCRIPT_DIR = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(SCRIPT_DIR))
-
-import ast_lint  # noqa: E402  (shared lexical helpers + repo conventions)
-import sarif_util  # noqa: E402
-
-REPO_ROOT = ast_lint.REPO_ROOT
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "scripts" / "crh_analyzer_baseline.txt"
-CXX_SUFFIXES = ast_lint.CXX_SUFFIXES
-strip_comments_and_strings = ast_lint.strip_comments_and_strings
-read_text = ast_lint.read_text
-rel_str = ast_lint.rel_str
-
+ARCH_MANIFEST = REPO_ROOT / "scripts" / "arch_layers.json"
+DEFAULT_DIRS = ["src", "tests", "bench", "examples", "fuzz"]
+ALL_DIRS = tuple(d + "/" for d in DEFAULT_DIRS)
+# The whole-program model: the library plus the binaries that publish results.
+MODEL_DIRS = ("src/", "bench/")
+CXX_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 ALLOW_RE = re.compile(r"//\s*analyzer:allow\(([\w-]+)\)")
 
-# Analysis scope: first-party library + the binaries that publish results.
-DEFAULT_DIRS = ["src", "bench"]
-# Fail-point dominance applies where durable I/O lives — and in the serving
-# layer, whose socket calls are the daemon's I/O surface.
-IO_SCOPED_DIRS = ("src/stream/", "src/common/", "src/data/", "src/serve/")
-# The lock/fail-point primitives themselves are excluded from the rules
-# they implement (same convention as ast_lint.MUTEX_WRAPPER_FILES).
+# The lock/fail-point primitives are excluded from the rules they implement.
 PRIMITIVE_FILES = {
     "src/common/mutex.h",
     "src/common/fault_injection.h",
@@ -166,31 +89,52 @@ PRIMITIVE_FILES = {
     "src/common/taint.h",
 }
 
-RULE_DOCS = {
-    "determinism-taint": "nondeterministic value can reach a published "
-                         "output (checkpoint, CSV, bench/CLI report)",
-    "status-path": "Status/Result-returning call dropped on an "
-                   "entry-point-reachable path",
-    "lock-order": "lock-acquisition cycle, or lock held across a "
-                  "fail-point/callback boundary",
-    "failpoint-dominance": "raw I/O call not dominated by a registered "
-                           "fail point, or fail-point site not registered",
-    "taint": "untrusted byte-derived value reaches an allocation size, "
-             "index, copy length, or loop bound without a dominating "
-             "bounds check (or CRH_SANITIZED is misused on trusted data)",
-    "snapshot-lifetime": "raw pointer/view derived from an epoch "
-                         "ServeSnapshot escapes the owning shared_ptr's "
-                         "scope (returned, stored in a member, or "
-                         "captured by reference)",
-    "arch": "include or call edge violates the committed layer DAG "
-            "(scripts/arch_layers.json), or a private header leaks",
-    "global-state": "mutable global/static state in a library layer "
-                    "breaks epoch-snapshot isolation",
-    "hot": "CRH_HOT function (transitively) allocates, locks, blocks, "
-           "throws, or evaluates a fail point",
-}
+# --- line rules ---------------------------------------------------------------
+INCLUDE_CC_RE = re.compile(r'#\s*include\s+["<][^">]+\.cc[">]')
+NAKED_NEW_RE = re.compile(
+    r"(?:^|[^\w.])(?:new\s+[A-Za-z_:<(]|delete(?:\s*\[\s*\])?\s+[A-Za-z_*(])")
+RAW_ASSERT_RE = re.compile(r"(?:^|\W)assert\s*\(")
+# A floating-point literal (1.0, .5, 2.5e-3, 1.f) or the continuous payload
+# of a Value on either side of == or !=. Heuristic by design: it cannot see
+# declared types, but these two shapes cover the double comparisons here.
+_FLOAT_OPERAND = r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?f?"
+_CONTINUOUS_OPERAND = r"(?:\.|->)continuous\(\)|\bcontinuous_"
+FLOAT_EQ_RE = re.compile(
+    rf"(?:{_FLOAT_OPERAND}|{_CONTINUOUS_OPERAND})\s*[!=]=(?!=)"
+    rf"|[!=]=\s*[-+]?(?:{_FLOAT_OPERAND}|{_CONTINUOUS_OPERAND})")
+# A statement-level cstdio write/commit call whose result is dropped.
+UNCHECKED_IO_RE = re.compile(
+    r"^\s*(?:\(void\)\s*)?(?:std::)?(?:fwrite|fflush|rename|fclose)\s*\(.*\)\s*;\s*$")
+NONDETERMINISM_RE = re.compile(
+    r"std::rand\b|[^\w.]s?rand\s*\(|\btime\s*\(\s*(?:nullptr|NULL|0)\s*\)")
+# Bit-identity at every thread count and across kill-and-resume is the
+# guarantee these layers carry: clocks and entropy only through the shims.
+DETERMINISM_DIRS = ("src/core/", "src/weights/", "src/stream/")
+DETERMINISM_LAYER_RE = re.compile(
+    NONDETERMINISM_RE.pattern
+    + r"|(?<![\w.:])time\s*\(|\bclock_gettime\s*\(|\bgettimeofday\s*\("
+    r"|(?<![\w.:])s?rand\s*\(|std::random_device\b"
+    r"|(?<![\w.:])getenv\s*\(|std::getenv\b")
+MUTEX_MEMBER_RE = re.compile(
+    r"^\s*(?:mutable\s+)?(?:crh::)?(Mutex|CondVar|std::mutex|"
+    r"std::condition_variable(?:_any)?)\s+(\w+)\s*;")
+THREAD_ANNOTATIONS_INCLUDE_RE = re.compile(
+    r'#\s*include\s+"common/thread_annotations\.h"')
+CRH_ANNOTATION_USE_RE = re.compile(
+    r"\bCRH_(?:CAPABILITY|SCOPED_CAPABILITY|GUARDED_BY|PT_GUARDED_BY|"
+    r"ACQUIRE|RELEASE|REQUIRES|EXCLUDES|RETURN_CAPABILITY|ASSERT_CAPABILITY)\b")
+# The lock an annotation names (its first argument).
+GUARDED_NAME_RE = re.compile(
+    r"CRH_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES|EXCLUDES|ACQUIRE|RELEASE|"
+    r"RETURN_CAPABILITY|ASSERT_CAPABILITY)\s*\(\s*(?:this\s*->\s*)?[&*]?(\w+)")
+UNORDERED_DECL_RE = re.compile(
+    r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s*[*&]{0,2}\s*"
+    r"(\w+)\s*[;{=(,)]")
+UNORDERED_ALIAS_RE = re.compile(
+    r"using\s+(\w+)\s*=\s*std::unordered_(?:map|set|multimap|multiset)\b")
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;]*?):([^;)]*)\)")
 
-# --- determinism-taint configuration -------------------------------------
+# --- determinism-taint ------------------------------------------------------
 TAINT_SOURCE_RES = [
     (re.compile(r"::now\s*\("), "a wall/steady clock read (`::now()`)"),
     (re.compile(r"(?<![\w.:])time\s*\("), "a `time()` call"),
@@ -204,7 +148,6 @@ TAINT_SOURCE_RES = [
      "a pointer address cast to integer"),
 ]
 EXEMPT_RE = re.compile(r"\bCRH_DETERMINISM_EXEMPT\s*\(")
-
 # Functions whose output is published program state: checkpoint bytes, CSV
 # rows, and the mains of bench/CLI binaries (their stdout/JSON is the
 # artifact the paper's figures are rebuilt from).
@@ -216,17 +159,23 @@ TAINT_SINKS = {
 }
 SINK_MAIN_DIRS = ("bench/", "src/tools/")
 
-# --- status-path configuration -------------------------------------------
+# --- status-path ------------------------------------------------------------
 STATUS_DECL_RE = re.compile(
     r"(?:^|[;{}]|\n)\s*(?:\[\[nodiscard\]\]\s*)?(?:static\s+|virtual\s+)?"
-    r"(?:crh::)?(?:Status|Result<[^;{}=]{1,120}?>)\s+(?:[\w:]+::)?(\w+)\s*\(")
+    r"(?:crh::)?(Status|Result<[^;{}=]{1,120}?>)\s+(?:[\w:]+::)?(\w+)\s*\(")
+# Factories whose Status is the point of the call: never an error path.
 STATUS_FACTORIES = {
     "OK", "InvalidArgument", "OutOfRange", "NotFound", "AlreadyExists",
     "FailedPrecondition", "IOError", "NotImplemented", "Internal",
 }
+# An expression statement whose whole effect is a call. Wrapped calls
+# (`(void)x.Foo();`, `CRH_RETURN_NOT_OK(x.Foo());`) do not match, and
+# call_statement() rejects lines the callee's parentheses do not close
+# (`Foo(x).ok());`, the tail of a wrapped expression).
 CALL_STMT_RE = re.compile(r"^\s*(?:[\w\]\[]+(?:\.|->))*(\w+)\s*\(.*\)\s*;\s*$")
+VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*((?:[\w:]+(?:\.|->|::))*)(\w+)\s*\(")
 
-# --- lock-order configuration --------------------------------------------
+# --- lock-order -------------------------------------------------------------
 LOCK_DECL_RE = re.compile(
     r"(?:crh::)?MutexLock\s+\w+\s*[({]\s*&?([\w.>-]+)"
     r"|std::(?:lock_guard|unique_lock|scoped_lock)\s*<[^>]*>\s+\w+\s*[({]\s*([\w.>-]+)")
@@ -235,32 +184,33 @@ MANUAL_UNLOCK_RE = re.compile(r"\b([\w.>-]*\w)\s*\.\s*Unlock\s*\(\s*\)")
 ADOPT_LOCK_RE = re.compile(r"std::adopt_lock")
 FAIL_POINT_CALL_RE = re.compile(
     r"\bCRH_FAIL_POINT\s*\(|\bFailPoints\b[^;\n]*\.\s*Hit(?:Write)?\s*\(")
-FUNCTION_OBJ_RE = ast_lint.FUNCTION_OBJ_RE
+FUNCTION_OBJ_RE = re.compile(
+    r"std::function\s*<[^;]*?>\s*[*&]?\s*[*&]?(\w+)\s*[;,)=]")
+# `(*callback)(...)`: a call through a dereferenced function object.
+DEREF_CALL_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
 
-# --- failpoint-dominance configuration -----------------------------------
+# --- failpoint-dominance ----------------------------------------------------
+# Where durable I/O lives, and the serving layer's socket surface.
+IO_SCOPED_DIRS = ("src/stream/", "src/common/", "src/data/", "src/serve/")
 IO_CALL_RE = re.compile(
     r"\b(?:std::)?(fopen|fwrite|fread|fflush|fclose|rename|remove|fputs|"
     r"fprintf|fscanf|fseek|ftell)\s*\("
     r"|\bstd::(ofstream|ifstream|fstream)\s+\w+\s*[({]"
     r"|\bstd::filesystem::(create_directories|create_directory|remove_all|"
     r"remove|rename|resize_file|directory_iterator)\s*\("
-    # The serving layer's I/O surface. poll/close/pipe are deliberately
-    # absent: they are control-plane plumbing whose failure modes the
-    # fail-point registry does not model.
+    # poll/close/pipe are deliberately absent: control-plane plumbing whose
+    # failure modes the fail-point registry does not model.
     r"|\b(socket|bind|listen|accept4|accept|recvmsg|recv|sendmsg|send)\s*\(")
-STDERR_ARG_RE = re.compile(r"\(\s*(?:stderr|stdout)\b")
 FAIL_SITE_RE = re.compile(
     r"(?:CRH_FAIL_POINT|\.\s*Hit(?:Write)?)\s*\(\s*\"([^\"]+)\"")
 REGISTRY_FN_RE = re.compile(r"\w*FailPointSites$")
 STRING_LIT_RE = re.compile(r"\"([\w.]+)\"")
 
-# --- arch configuration ----------------------------------------------------
-ARCH_MANIFEST = REPO_ROOT / "scripts" / "arch_layers.json"
+# --- arch -------------------------------------------------------------------
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
-# --- global-state configuration --------------------------------------------
-GLOBAL_STATE_SCOPE = "src/"
-GLOBAL_STATE_EXCLUDED = ("src/tools/",)
+# --- global-state -----------------------------------------------------------
+GLOBAL_STATE_EXCLUDED = ("src/tools/", "src/common/global_state.h")
 GLOBAL_EXEMPT_MACRO = "CRH_GLOBAL_STATE_EXEMPT"
 # Namespace-scope statements that declare something other than a mutable
 # variable (types, aliases, constants, templates, externs, ...).
@@ -276,11 +226,10 @@ STATIC_LOCAL_RE = re.compile(
     r"^\s*(?:thread_local\s+)?static\s+(?:thread_local\s+)?"
     r"(?!const\b|constexpr\b)")
 
-# --- hot (CRH_HOT real-time discipline) configuration ----------------------
+# --- hot (CRH_HOT real-time discipline) -------------------------------------
 HOT_ATTR_RE = re.compile(r"\bCRH_HOT\b")
-# Lexical patterns that end real-time safety. Locks, raw I/O, fail points
-# and std::function invocations are already modeled as their own event
-# lists; these cover allocation, container growth and exceptions.
+# Locks, raw I/O, fail points and std::function invocations are modeled as
+# their own events; these cover allocation, container growth and throws.
 HOT_VIOLATION_RES = [
     (re.compile(r"\bnew\b"), "calls operator new"),
     (re.compile(r"(?<![\w.:])(?:malloc|calloc|realloc|strdup)\s*\("),
@@ -300,34 +249,27 @@ HOT_VIOLATION_RES = [
      "calls std::stable_sort (allocates)"),
 ]
 
-# --- taint (untrusted input) configuration ---------------------------------
-# Where externally-supplied bytes enter: the serving socket + protocol, the
-# CSV reader, and the checkpoint loader.
+# --- taint (untrusted input) ------------------------------------------------
+# Where externally supplied bytes enter: the serving socket and protocol,
+# the CSV reader, and the checkpoint loader.
 UNTRUSTED_SCOPED_DIRS = ("src/serve/", "src/stream/", "src/data/")
-# Seed set of functions whose return value is untrusted (grown by a
-# fixpoint: any scoped function returning an unsanitized tainted value
-# joins it, so taint crosses TU boundaries through the call graph).
+# Seed set of untrusted-returning functions, grown by a fixpoint: a scoped
+# function returning an unsanitized tainted value joins it.
 UNTRUSTED_RETURNING = {
-    # raw socket ingress + C numeric parsing of external text
     "recv", "recvmsg", "strtoll", "strtoull", "strtod",
-    # wire-protocol field decodes (serve/protocol.h)
     "ParseJsonObject", "Find", "GetString", "GetInt", "GetUint",
     "GetDouble", "GetDoubleArray", "GetStringArray",
-    # CSV fields (data/csv.h) and chunk/checkpoint payloads
     "ReadObservationsCsv", "SplitCsvLine", "Decode", "DecodeCheckpoint",
 }
-# Checkpoint/payload cursor reads taint their out-parameter:
 # `cursor.ReadU64(&count)` makes `count` untrusted.
 UNTRUSTED_OUTPARAM_RE = re.compile(
     r"\bRead(?:U8|U16|U32|U64|I8|I16|I32|I64|F32|F64|Varint)\w*"
     r"\s*\(\s*&\s*([\w.]*\w)")
-# `var = ...Callee(...)`: taints `var` when Callee is untrusted-returning.
 UNTRUSTED_ASSIGN_RE = re.compile(r"\b([A-Za-z_]\w*)\s*=(?![=])")
 UNTRUSTED_CALLEE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-# Sanitizers: a range comparison naming the tainted value on an `if` or a
-# CRH_CHECK/CRH_VERIFY_OR_RETURN line, or the CRH_SANITIZED escape hatch.
-# (`for`/`while` conditions are deliberately not sanitizers: a tainted
-# loop bound is the hazard, not the defense.)
+# Sanitizers: a range comparison on an `if` or a CRH_CHECK/
+# CRH_VERIFY_OR_RETURN line, or CRH_SANITIZED. (`for`/`while` conditions
+# are not sanitizers: a tainted loop bound is the hazard.)
 UNTRUSTED_GUARD_MACRO_RE = re.compile(
     r"\bCRH_(?:CHECK|DCHECK|VERIFY_OR_RETURN|SANITIZED)\w*\s*\(")
 UNTRUSTED_IF_RE = re.compile(r"\bif\s*\(")
@@ -336,10 +278,8 @@ SANITIZED_ARGS_RE = re.compile(r"\bCRH_SANITIZED\s*\(([^;]*)")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 # Sinks: (description, regex whose group(1) holds the controlled operand,
 # last_arg_only). For memcpy/memmove/memset and two-arg append/assign only
-# the final top-level argument is the length — a tainted *source* operand
-# is not a sink. The for-loop pattern captures the full middle condition
-# field — `->` in the bound expression must not let backtracking truncate
-# it.
+# the final argument is the length. The loop pattern captures the whole
+# condition so `->` in it cannot truncate the match.
 UNTRUSTED_SINK_RES = [
     ("an allocation size",
      re.compile(r"(?:\.|->)\s*(?:resize|reserve)\s*\(([^;]*)"), False),
@@ -358,40 +298,17 @@ UNTRUSTED_SINK_RES = [
 ]
 UNTRUSTED_RETURN_RE = re.compile(r"^\s*(?:co_)?return\b(.*)")
 
-
-def last_call_arg(argtext: str) -> str:
-    """Given the text following a call's `(`, returns its final top-level
-    argument (stopping at the call's own closing paren): the length
-    operand of memcpy/memmove/memset and append/assign."""
-    depth = 0
-    last_start = 0
-    end = len(argtext)
-    for i, ch in enumerate(argtext):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            if depth == 0:
-                end = i
-                break
-            depth -= 1
-        elif ch == "," and depth == 0:
-            last_start = i + 1
-    return argtext[last_start:end]
-
-# --- snapshot-lifetime configuration ---------------------------------------
+# --- snapshot-lifetime ------------------------------------------------------
 SNAPSHOT_SCOPED_DIRS = ("src/serve/",)
-# A snapshot handle: a shared_ptr<const ServeSnapshot> declaration (local
-# or single-line-signature parameter) or an assignment from `.Current()`.
-# The atomic member `std::atomic<std::shared_ptr<...>> current_` does NOT
+# A shared_ptr<const ServeSnapshot> declaration or a `.Current()` result.
+# The atomic member `std::atomic<std::shared_ptr<...>> current_` does not
 # match: its `>>` never precedes an identifier.
 SNAPSHOT_DECL_RE = re.compile(
     r"shared_ptr\s*<\s*(?:const\s+)?(?:crh::)?ServeSnapshot\s*>"
     r"\s*&?\s+(\w+)\b")
 SNAPSHOT_CURRENT_RE = re.compile(
     r"\b(\w+)\s*=\s*[^;=]*\.\s*Current\s*\(\s*\)")
-# A function whose declared return type is a pointer/reference/view.
-SNAPSHOT_VIEW_RETURN_RE = re.compile(
-    r"[*&]|\bstring_view\b|\b[Ss]pan\b")
+SNAPSHOT_VIEW_RETURN_RE = re.compile(r"[*&]|\bstring_view\b|\b[Ss]pan\b")
 SNAPSHOT_MEMBER_STORE_RE = re.compile(r"\b\w+_\s*=(?![=])")
 
 CONTROL_KEYWORDS = {
@@ -400,16 +317,15 @@ CONTROL_KEYWORDS = {
     "static_assert", "defined", "decltype",
 }
 CALL_RE = re.compile(r"(?:([\w:]+)\s*(?:\.|->|::))?\b([A-Za-z_]\w*)\s*\(")
-
 PREPROC_RE = re.compile(r"^\s*#")
+HEAD_ATTR_RE = re.compile(r"\[\[[^\]]*\]\]|\bCRH_[A-Z_]+\s*\([^()]*\)")
 
 
-class Finding:
-    def __init__(self, rel: str, line: int, rule: str, message: str):
-        self.path = rel  # repo-relative posix string
-        self.line = line
-        self.rule = rule
-        self.message = message
+class Finding(NamedTuple):
+    path: str  # repo-relative posix path
+    line: int
+    rule: str
+    message: str
 
     def key(self) -> str:
         return f"{self.path}: [{self.rule}]"
@@ -418,11 +334,109 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+# ---------------------------------------------------------------------------
+# Source walker: every file is read and stripped once.
+
+LEXEME_RE = re.compile(
+    r'//[^\n]*|/\*.*?(?:\*/|\Z)|R"([^()\\ ]{0,16})\(.*?\)\1"'
+    r'|"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])*\'', re.S)
+
+
+def _blank(text: str) -> str:
+    return "\n".join(" " * len(part) for part in text.split("\n"))
+
+
+def _blank_lexeme(m: re.Match) -> str:
+    s = m.group(0)
+    if s[0] in "\"'":
+        return s[0] + _blank(s[1:-1]) + s[-1]
+    return _blank(s)
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks comments, raw strings and the contents of string and char
+    literals (their quotes stay), preserving every newline."""
+    return LEXEME_RE.sub(_blank_lexeme, text)
+
+
+class Source:
+    """One scanned file. `raw_lines` and `lines` (comments and strings
+    blanked) align line for line."""
+
+    def __init__(self, root: pathlib.Path, path: pathlib.Path):
+        resolved = path.resolve()
+        self.rel = (resolved.relative_to(root).as_posix()
+                    if resolved.is_relative_to(root) else path.as_posix())
+        self.raw = path.read_text(encoding="utf-8", errors="replace")
+        self.clean = strip_comments_and_strings(self.raw)
+        self.raw_lines = self.raw.split("\n")
+        self.lines = self.clean.split("\n")
+        self.allow = {i: set(ALLOW_RE.findall(line))
+                      for i, line in enumerate(self.raw_lines, 1)
+                      if "analyzer:allow" in line}
+
+    def allowed(self, lineno: int, rule: str) -> bool:
+        return rule in self.allow.get(lineno, ())
+
+    @functools.cached_property
+    def unordered_names(self) -> set[str]:
+        """Variables and members declared with an unordered container type
+        (directly or through a `using` alias) anywhere in the file."""
+        names = {m.group(1) for line in self.lines
+                 for m in UNORDERED_DECL_RE.finditer(line)}
+        aliases = {m.group(1) for line in self.lines
+                   for m in UNORDERED_ALIAS_RE.finditer(line)}
+        if aliases:
+            alias_decl = re.compile(
+                r"\b(?:%s)\s*(?:<[^;]*?>)?\s+(\w+)\s*[;{=(]"
+                % "|".join(sorted(aliases)))
+            names |= {m.group(1) for line in self.lines
+                      for m in alias_decl.finditer(line)}
+        return names
+
+
+def load_sources(root: pathlib.Path, paths: list[str]) -> list[Source]:
+    roots = [pathlib.Path(p) for p in paths] or [root / d for d in DEFAULT_DIRS]
+    files: list[pathlib.Path] = []
+    for top in roots:
+        candidates = [top] if top.is_file() else sorted(top.rglob("*"))
+        files += [f for f in candidates
+                  if f.suffix in CXX_SUFFIXES and "build" not in f.parts]
+    # Path order fixes the model's function order, which the fixpoints'
+    # witnesses (the line a finding names) depend on.
+    return [Source(root, f) for f in sorted(files)]
+
+
+def call_statement(line: str) -> str | None:
+    """The callee of a line that is exactly one call statement."""
+    m = CALL_STMT_RE.match(line)
+    if m is None:
+        return None
+    depth = 0
+    for i in range(m.end(1), len(line)):
+        depth += {"(": 1, ")": -1}.get(line[i], 0)
+        if depth == 0 and line[i] == ")":
+            return m.group(1) if line[i + 1:].strip() == ";" else None
+    return None
+
+
+def unordered_range_expr(expr: str, unordered_names: set[str]) -> bool:
+    """True when a range-for's range expression names (or derefs to) a
+    known unordered container. Trailing call parens (`obj.items()`) hide
+    the type, so only bare names and member chains are classified."""
+    m = re.search(r"([A-Za-z_]\w*)\s*$", expr.strip())
+    return bool(m) and m.group(1) in unordered_names
+
+
+# ---------------------------------------------------------------------------
+# Program model: file -> function models.
+
+
 class FunctionModel:
     """Lexical model of one function definition."""
 
     def __init__(self, qual_name: str, name: str, rel: str,
-                 start_line: int, end_line: int, open_line: int | None = None):
+                 start_line: int, end_line: int, open_line: int):
         self.qual_name = qual_name
         self.name = name
         self.rel = rel
@@ -430,7 +444,7 @@ class FunctionModel:
         self.end_line = end_line
         # Line where the body `{` opens: the signature's own `name(` match
         # up to here must not be mistaken for a recursive call.
-        self.open_line = open_line if open_line is not None else start_line
+        self.open_line = open_line
         # [(line, callee_simple_name, frozenset(held_lock_ids))]
         self.calls: list[tuple[int, str, frozenset]] = []
         self.taint_sources: list[tuple[int, str]] = []  # (line, description)
@@ -438,10 +452,10 @@ class FunctionModel:
         self.io_sites: list[tuple[int, str]] = []  # (line, call text)
         self.failpoint_lines: list[int] = []
         self.failpoint_sites: list[tuple[int, str]] = []  # (line, site id)
+        self.failpoints_held: list[tuple[int, frozenset]] = []
         # [(line, acquired_lock_id, tuple(held_before))]
         self.lock_acquires: list[tuple[int, str, tuple]] = []
         self.callback_invokes: list[tuple[int, str, frozenset]] = []
-        self.status_drops: list[tuple[int, str]] = []  # (line, callee)
         self.is_registry = bool(REGISTRY_FN_RE.match(name))
         self.registered_sites: set[str] = set()
         self.hot = False  # carries the CRH_HOT annotation
@@ -453,17 +467,8 @@ class FunctionModel:
         self.ut_sinks: list[tuple[int, str, frozenset]] = []
         self.ut_returns: list[tuple[int, frozenset]] = []
         self.ut_sanitized: list[tuple[int, frozenset]] = []
-        # Signature text (start..open lines, set by model_file) and escapes
-        # of epoch-snapshot-derived views (the `snapshot-lifetime` check).
-        self.head = ""
+        # Escapes of epoch-snapshot views (the `snapshot-lifetime` check).
         self.snap_escapes: list[tuple[int, str]] = []  # (line, what)
-
-    def __repr__(self) -> str:  # debugging aid
-        return f"<fn {self.qual_name} {self.rel}:{self.start_line}>"
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer frontend: file → function models.
 
 
 def blank_preprocessor(clean: str) -> str:
@@ -478,9 +483,6 @@ def blank_preprocessor(clean: str) -> str:
     return "\n".join(out_lines)
 
 
-HEAD_ATTR_RE = re.compile(r"\[\[[^\]]*\]\]|\bCRH_[A-Z_]+\s*\([^()]*\)")
-
-
 def classify_head(head: str):
     """Classifies the text between the previous `;`/`{`/`}` and an opening
     `{`. Returns (kind, name) with kind in namespace|class|function|block."""
@@ -491,12 +493,10 @@ def classify_head(head: str):
     m = re.search(r"\b(?:class|struct)\s+(\w+)[^;()]*$", head)
     if m and "(" not in head.split(m.group(1))[-1].split(":")[0]:
         return "class", m.group(1)
-    if re.search(r"\benum\b", head):
+    if re.search(r"\benum\b", head) or re.search(r"\b(?:extern|union)\b\s*$",
+                                                 head):
         return "block", None
-    if re.search(r"\b(?:extern|union)\b\s*$", head):
-        return "block", None
-    # Function: find the first top-level '(' and take the identifier chain
-    # immediately before it.
+    # Function: the identifier chain right before the first top-level '('.
     depth = 0
     paren_at = -1
     for i, c in enumerate(head):
@@ -513,8 +513,7 @@ def classify_head(head: str):
     if not m:
         return "block", None
     # Member access right before the name (`obj.push_back({...})`,
-    # `p->emplace({...})`) is a call expression whose brace-init argument
-    # reached us, not a definition.
+    # `p->emplace({...})`) is a call whose brace-init argument reached us.
     if m.start() > 0 and (head[m.start() - 1] == "."
                           or head[m.start() - 2:m.start()] == "->"):
         return "block", None
@@ -522,32 +521,24 @@ def classify_head(head: str):
     simple = name.split("::")[-1].lstrip("~")
     if simple in CONTROL_KEYWORDS or not simple:
         return "block", None
-    # `operator` overloads: normalise to a stable name.
-    if simple == "operator":
+    if simple == "operator":  # normalise overloads to a stable name
         name = name.replace("operator", "operatorX")
-        simple = "operatorX"
     return "function", name
 
 
-def scan_file_functions(rel: str, clean: str):
-    """Yields (qual_name, name, start_line, end_line, head_line) spans for
-    every function definition in the (comment/string-stripped) text."""
-    text = blank_preprocessor(clean)
-    n = len(text)
+def scan_file_functions(text: str):
+    """Returns (qual_name, name, start_line, end_line, open_line) spans for
+    every function definition in preprocessor-blanked, stripped text."""
     line = 1
-    i = 0
     head_start = 0
     head_line = 1
-    # Stack of (kind, name) for namespace/class/block scopes.
-    scope: list[tuple[str, str]] = []
+    scope: list[tuple[str, str]] = []  # (kind, name) of enclosing scopes
     spans = []
-    in_fn = None  # (qual, name, start_line, brace_depth_at_entry)
+    in_fn = None  # (qual, name, start_line, brace_depth_at_entry, open_line)
     depth = 0
-    while i < n:
-        c = text[i]
+    for i, c in enumerate(text):
         if c == "\n":
             line += 1
-            i += 1
             continue
         if in_fn is not None:
             if c == "{":
@@ -560,11 +551,9 @@ def scan_file_functions(rel: str, clean: str):
                     in_fn = None
                     head_start = i + 1
                     head_line = line
-            i += 1
             continue
         if c == "{":
-            head = text[head_start:i]
-            kind, name = classify_head(head)
+            kind, name = classify_head(text[head_start:i])
             if kind == "function":
                 classes = [s_name for s_kind, s_name in scope
                            if s_kind == "class"]
@@ -576,7 +565,6 @@ def scan_file_functions(rel: str, clean: str):
                     qual = name
                 in_fn = (qual, name.split("::")[-1], head_line, depth, line)
                 depth += 1
-                i += 1
                 continue
             scope.append((kind, name or ""))
             depth += 1
@@ -591,47 +579,37 @@ def scan_file_functions(rel: str, clean: str):
         elif c == ";":
             head_start = i + 1
             head_line = line
-        else:
-            if text[head_start:i].strip() == "" and not c.isspace():
-                head_line = line
-        i += 1
+        elif not c.isspace() and text[head_start:i].strip() == "":
+            head_line = line
     return spans
 
 
-def scan_namespace_statements(clean: str):
+def scan_namespace_statements(text: str):
     """Yields (line, statement_text) for every `;`-terminated statement all
-    of whose enclosing brace scopes are namespaces (file scope included) —
-    the candidate set for namespace-scope variable declarations. Brace
-    initializers (`std::atomic<int> g{0};`, `int a[] = {1};`) stay part of
-    their statement; class/function/enum bodies are skipped."""
-    text = blank_preprocessor(clean)
-    n = len(text)
-    i = 0
+    of whose enclosing brace scopes are namespaces (file scope included).
+    Brace initializers (`std::atomic<int> g{0};`) stay part of their
+    statement; class/function/enum bodies are skipped."""
     line = 1
     head_start = 0
     stmt_line = None
     scope: list[str] = []  # kinds of the enclosing brace scopes
-    depth_skip = 0  # > 0 while inside a brace initializer / skipped body
-    while i < n:
-        c = text[i]
+    depth_skip = 0  # > 0 while inside a brace initializer
+    for i, c in enumerate(text):
         if c == "\n":
             line += 1
-            i += 1
             continue
         if depth_skip:
             if c == "{":
                 depth_skip += 1
             elif c == "}":
                 depth_skip -= 1
-            i += 1
             continue
         if c == "{":
             head = text[head_start:i]
             kind, _ = classify_head(head)
             tail = head.rstrip()
-            # A `{` classified as a plain block whose head ends in an
-            # identifier/`=`/`>`/`]` is a brace initializer (or an enum/
-            # union body — equally not a declaration scope): consume it
+            # A plain block whose head ends in an identifier/`=`/`>`/`]` is
+            # a brace initializer (or an enum/union body): consume it
             # without opening a scope so the statement keeps accumulating.
             if kind == "block" and tail and (tail[-1].isalnum()
                                              or tail[-1] in "_=>]"):
@@ -654,16 +632,6 @@ def scan_namespace_statements(clean: str):
             stmt_line = None
         elif not c.isspace() and stmt_line is None:
             stmt_line = line
-        i += 1
-
-
-def global_state_exempt(raw_lines: list[str], stmt_line: int) -> bool:
-    """True when CRH_GLOBAL_STATE_EXEMPT(...) sits on the declaration's
-    first line or within the four raw lines above it (the macro call
-    itself may wrap over several lines)."""
-    lo = max(0, stmt_line - 5)
-    hi = min(stmt_line, len(raw_lines))
-    return any(GLOBAL_EXEMPT_MACRO in raw_lines[k] for k in range(lo, hi))
 
 
 def lock_id(name: str, qual_name: str, rel: str) -> str:
@@ -679,43 +647,35 @@ def lock_id(name: str, qual_name: str, rel: str) -> str:
     return f"{qual_name}::{base}"
 
 
-def extract_body(fn: FunctionModel, clean_lines: list[str],
-                 raw_lines: list[str], unordered_names: set[str],
+def extract_body(fn: FunctionModel, src: Source,
                  function_objs: set[str]) -> None:
-    """Populates a FunctionModel's event lists from its line span. Shared
-    by the tokenizer and libclang backends (the AST supplies boundaries,
-    this supplies flow-sensitive intra-body facts)."""
+    """Populates a FunctionModel's event lists from its line span."""
     depth = 0
     scoped_locks: list[tuple[int, str]] = []
     manual_locks: set[str] = set()
     local_function_objs = set(function_objs)
-    for lineno in range(fn.start_line, fn.end_line + 1):
-        if lineno - 1 >= len(clean_lines):
-            break
-        line = clean_lines[lineno - 1]
-        raw_line = raw_lines[lineno - 1] if lineno - 1 < len(raw_lines) else ""
-        allow = set(ALLOW_RE.findall(raw_line))
-        allow |= {"status-path"} if "unchecked-status" in \
-            ast_lint.ALLOW_RE.findall(raw_line) else set()
+    for lineno in range(fn.start_line, min(fn.end_line, len(src.lines)) + 1):
+        line = src.lines[lineno - 1]
+        raw_line = src.raw_lines[lineno - 1]
+        allow = src.allow.get(lineno, set())
 
-        for m in FUNCTION_OBJ_RE.finditer(line):
-            local_function_objs.add(m.group(1))
+        declared_objs = {m.group(1) for m in FUNCTION_OBJ_RE.finditer(line)}
+        local_function_objs |= declared_objs
 
-        # Taint sources.
         if "determinism-taint" not in allow:
             for pattern, desc in TAINT_SOURCE_RES:
                 if pattern.search(line):
                     fn.taint_sources.append((lineno, desc))
-            for m in ast_lint.RANGE_FOR_RE.finditer(line):
-                if ast_lint.unordered_range_expr(m.group(2), unordered_names):
+            for m in RANGE_FOR_RE.finditer(line):
+                if unordered_range_expr(m.group(2), src.unordered_names):
                     fn.taint_sources.append(
                         (lineno, "unordered-container iteration order"))
         if EXEMPT_RE.search(line):
             fn.exempt = True
 
-        # CRH_HOT annotation (signature head) + real-time violations. The
-        # violation scan covers every function: non-hot callees must carry
-        # their dirt so the hot check's transitive closure sees it.
+        # CRH_HOT annotation (signature head) + real-time violations. Every
+        # function is scanned: non-hot callees must carry their dirt so the
+        # hot check's transitive closure sees it.
         if lineno <= fn.open_line and HOT_ATTR_RE.search(line):
             fn.hot = True
         if "hot" not in allow:
@@ -723,9 +683,8 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
                 if pattern.search(line):
                     fn.hot_violations.append((lineno, desc))
 
-        # Untrusted-input taint events. Sources/assigns/sinks feed the
-        # per-function dataflow in untrusted_taint_state; guards are always
-        # recorded (they only ever suppress findings).
+        # Untrusted-input taint events; guards are always recorded (they
+        # only ever suppress findings).
         line_idents = frozenset(IDENT_RE.findall(line))
         if UNTRUSTED_GUARD_MACRO_RE.search(line) or (
                 UNTRUSTED_IF_RE.search(line) and RELATIONAL_RE.search(line)):
@@ -753,8 +712,8 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
                 fn.ut_returns.append(
                     (lineno, frozenset(IDENT_RE.findall(m.group(1)))))
 
-        # Fail points (site literal must come from the raw line: the
-        # cleaned text blanks string contents).
+        # Fail points (the site literal comes from the raw line: the
+        # stripped text blanks string contents).
         if FAIL_POINT_CALL_RE.search(line):
             fn.failpoint_lines.append(lineno)
             for m in FAIL_SITE_RE.finditer(raw_line):
@@ -775,7 +734,8 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
                     (lineno,
                      (m.group(1) or m.group(2) or m.group(3) or m.group(4))))
 
-        # Column-ordered event walk: lock acquisitions, releases, calls.
+        # Column-ordered event walk: lock acquisitions and releases, fail
+        # points, calls.
         events = []
         if not ADOPT_LOCK_RE.search(line):
             for m in LOCK_DECL_RE.finditer(line):
@@ -788,45 +748,42 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
         for m in MANUAL_UNLOCK_RE.finditer(line):
             events.append((m.start(), "manual_unlock",
                            lock_id(m.group(1), fn.qual_name, fn.rel)))
+        for m in FAIL_POINT_CALL_RE.finditer(line):
+            events.append((m.start(), "failpoint", None))
         for m in CALL_RE.finditer(line):
             callee = m.group(2)
             if callee in CONTROL_KEYWORDS or callee == "CRH_FAIL_POINT":
                 continue
-            # The function's own signature (`Type name(args...)`) is not a
-            # recursive call.
+            # The function's own signature is not a recursive call.
             if callee == fn.name and lineno <= fn.open_line:
                 continue
             events.append((m.start(), "call", callee))
-        for m in FUNCTION_OBJ_RE.finditer(line):
-            # The declaration itself is not an invocation; drop the call
-            # event the CALL_RE above may have produced for it.
-            events = [e for e in events
-                      if not (e[1] == "call" and e[2] == m.group(1))]
-        events.sort(key=lambda e: e[0])
+        for m in DEREF_CALL_RE.finditer(line):
+            if m.group(1) in local_function_objs:
+                events.append((m.start(), "call", m.group(1)))
+        # A declaration is not an invocation.
+        events = sorted((e for e in events
+                         if not (e[1] == "call" and e[2] in declared_objs)),
+                        key=lambda e: e[0])
         allow_lock = "lock-order" in allow
         for _, ekind, val in events:
             held = frozenset(n for _, n in scoped_locks) | manual_locks
-            if ekind == "scoped_lock":
+            if ekind in ("scoped_lock", "manual_lock"):
                 if not allow_lock:
                     fn.lock_acquires.append((lineno, val, tuple(sorted(held))))
-                scoped_locks.append((depth, val))
-            elif ekind == "manual_lock":
-                if not allow_lock:
-                    fn.lock_acquires.append((lineno, val, tuple(sorted(held))))
-                manual_locks.add(val)
+                if ekind == "scoped_lock":
+                    scoped_locks.append((depth, val))
+                else:
+                    manual_locks.add(val)
             elif ekind == "manual_unlock":
                 manual_locks.discard(val)
-            elif ekind == "call":
-                if val in local_function_objs:
-                    fn.callback_invokes.append((lineno, val, held))
-                else:
-                    fn.calls.append((lineno, val, held))
-
-        # Status drops (statement-level call, value unconsumed). The callee
-        # set is resolved later against the whole-program function table.
-        m = CALL_STMT_RE.match(line)
-        if m and "status-path" not in allow:
-            fn.status_drops.append((lineno, m.group(1)))
+            elif ekind == "failpoint":
+                if held and not allow_lock:
+                    fn.failpoints_held.append((lineno, held))
+            elif val in local_function_objs:
+                fn.callback_invokes.append((lineno, val, held))
+            else:
+                fn.calls.append((lineno, val, held))
 
         for ch in line:
             if ch == "{":
@@ -836,32 +793,45 @@ def extract_body(fn: FunctionModel, clean_lines: list[str],
                 scoped_locks = [(d, n) for (d, n) in scoped_locks if d < depth]
 
 
-def scan_snapshot_escapes(fn: FunctionModel, clean_lines: list[str],
-                          raw_lines: list[str]) -> None:
+def last_call_arg(argtext: str) -> str:
+    """Given the text following a call's `(`, returns its final top-level
+    argument (stopping at the call's own closing paren)."""
+    depth = 0
+    last_start = 0
+    end = len(argtext)
+    for i, ch in enumerate(argtext):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            if depth == 0:
+                end = i
+                break
+            depth -= 1
+        elif ch == "," and depth == 0:
+            last_start = i + 1
+    return argtext[last_start:end]
+
+
+def scan_snapshot_escapes(fn: FunctionModel, src: Source) -> None:
     """Populates fn.snap_escapes: uses of an epoch-snapshot handle that
     outlive the owning shared_ptr's scope. Pass 1 finds the handles
     (declarations and `.Current()` assignments, signature lines included);
     pass 2 finds escapes: a view-returning function returning through the
     handle, a member assignment storing an address derived from it, or a
     by-reference lambda capture on a line that names it."""
+    span = range(fn.start_line, min(fn.end_line, len(src.lines)) + 1)
     handles: set[str] = set()
-    for lineno in range(fn.start_line, fn.end_line + 1):
-        if lineno - 1 >= len(clean_lines):
-            break
-        line = clean_lines[lineno - 1]
-        for m in SNAPSHOT_DECL_RE.finditer(line):
-            handles.add(m.group(1))
-        for m in SNAPSHOT_CURRENT_RE.finditer(line):
-            handles.add(m.group(1))
+    for lineno in span:
+        line = src.lines[lineno - 1]
+        handles |= {m.group(1) for m in SNAPSHOT_DECL_RE.finditer(line)}
+        handles |= {m.group(1) for m in SNAPSHOT_CURRENT_RE.finditer(line)}
     if not handles:
         return
     alt = "|".join(sorted(handles))
     # `snap->...` or `snap.get()`: a raw view through the handle.
-    deref_re = re.compile(
-        r"\b(?:%s)\s*(?:->|\.\s*get\s*\()" % alt)
+    deref_re = re.compile(r"\b(?:%s)\s*(?:->|\.\s*get\s*\()" % alt)
     # An address derived from the handle: `&...snap`, `snap.get()`, or a
-    # `data()/c_str()/begin()` view reached through it. `&&` is logical,
-    # not address-of.
+    # `data()/c_str()/begin()` view reached through it. `&&` is logical.
     addr_re = re.compile(
         r"(?<![&\w])&\s*[\w.\[\]()>-]*\b(?:%s)\b" % alt
         + r"|\b(?:%s)\s*\.\s*get\s*\(" % alt
@@ -869,14 +839,11 @@ def scan_snapshot_escapes(fn: FunctionModel, clean_lines: list[str],
         % alt)
     lambda_ref_re = re.compile(r"\[\s*&[^\]]*\]\s*[({]")
     mention_re = re.compile(r"\b(?:%s)\b" % alt)
-    returns_view = bool(
-        SNAPSHOT_VIEW_RETURN_RE.search(fn.head.split("(", 1)[0]))
-    for lineno in range(fn.start_line, fn.end_line + 1):
-        if lineno - 1 >= len(clean_lines):
-            break
-        line = clean_lines[lineno - 1]
-        raw_line = raw_lines[lineno - 1] if lineno - 1 < len(raw_lines) else ""
-        if "snapshot-lifetime" in ALLOW_RE.findall(raw_line):
+    head = " ".join(ln.strip() for ln in src.lines[fn.start_line - 1:fn.open_line])
+    returns_view = bool(SNAPSHOT_VIEW_RETURN_RE.search(head.split("(", 1)[0]))
+    for lineno in span:
+        line = src.lines[lineno - 1]
+        if src.allowed(lineno, "snapshot-lifetime"):
             continue
         if returns_view and UNTRUSTED_RETURN_RE.match(line) \
                 and deref_re.search(line):
@@ -900,188 +867,85 @@ def scan_snapshot_escapes(fn: FunctionModel, clean_lines: list[str],
 
 
 class ProgramModel:
-    def __init__(self):
+    def __init__(self, sources: list[Source]):
+        self.sources = sources
         self.functions: list[FunctionModel] = []
         self.by_simple: dict[str, list[FunctionModel]] = {}
-        self.by_qual: dict[str, FunctionModel] = {}
         self.status_functions: set[str] = set()
-        self.files: list[pathlib.Path] = []
+        self.result_functions: set[str] = set()
         # rel -> [(line, quoted include target)], analyzer:allow filtered.
         self.includes: dict[str, list[tuple[int, str]]] = {}
-        # rel -> [(line, name, kind description)] mutable global/static
-        # declarations that carry no exemption.
+        # rel -> [(line, name, kind)] unexempted mutable globals/statics.
         self.global_decls: dict[str, list[tuple[int, str, str]]] = {}
 
     def add(self, fn: FunctionModel) -> None:
         self.functions.append(fn)
         self.by_simple.setdefault(fn.name, []).append(fn)
-        self.by_qual.setdefault(fn.qual_name, fn)
 
     def resolve(self, callee: str) -> list[FunctionModel]:
         return self.by_simple.get(callee, [])
 
+    def scoped(self, dirs: tuple[str, ...], exclude: tuple[str, ...] = ()):
+        return [s for s in self.sources
+                if s.rel.startswith(dirs) and not s.rel.startswith(exclude)]
 
-def model_file(model: ProgramModel, path: pathlib.Path,
-               spans=None) -> None:
-    rel = rel_str(path)
-    raw = read_text(path)
-    raw_lines = raw.splitlines()
-    clean = strip_comments_and_strings(raw)
-    clean_lines = clean.splitlines()
 
-    unordered_names: set[str] = set()
-    aliases: set[str] = set()
-    function_objs: set[str] = set()
-    for line in clean_lines:
-        for m in ast_lint.UNORDERED_DECL_RE.finditer(line):
-            unordered_names.add(m.group(1))
-        for m in ast_lint.UNORDERED_ALIAS_RE.finditer(line):
-            aliases.add(m.group(1))
-        for m in FUNCTION_OBJ_RE.finditer(line):
-            function_objs.add(m.group(1))
-    if aliases:
-        alias_decl = re.compile(
-            r"\b(?:%s)\s*(?:<[^;]*?>)?\s+(\w+)\s*[;{=(]" % "|".join(
-                sorted(aliases)))
-        for line in clean_lines:
-            for m in alias_decl.finditer(line):
-                unordered_names.add(m.group(1))
-
-    includes: list[tuple[int, str]] = []
-    for lineno, raw_line in enumerate(raw_lines, 1):
-        m = INCLUDE_RE.match(raw_line)
-        if m and "arch" not in ALLOW_RE.findall(raw_line):
-            includes.append((lineno, m.group(1)))
-    model.includes[rel] = includes
+def model_file(model: ProgramModel, src: Source) -> None:
+    rel, raw_lines, clean_lines = src.rel, src.raw_lines, src.lines
+    model.includes[rel] = [
+        (lineno, m.group(1)) for lineno, raw_line in enumerate(raw_lines, 1)
+        if (m := INCLUDE_RE.match(raw_line)) and not src.allowed(lineno, "arch")]
+    function_objs = {m.group(1) for line in clean_lines
+                     for m in FUNCTION_OBJ_RE.finditer(line)}
+    code = blank_preprocessor(src.clean)
 
     decls: list[tuple[int, str, str]] = []
-    for stmt_line, stmt in scan_namespace_statements(clean):
+    for stmt_line, stmt in scan_namespace_statements(code):
         if "(" in stmt or GLOBAL_SKIP_RE.search(stmt):
             continue
-        flat = re.sub(r"\{[^{}]*\}", " ", stmt).strip()
-        m = GLOBAL_DECL_RE.match(flat)
-        if not m:
-            continue
-        raw_line = raw_lines[stmt_line - 1] \
-            if stmt_line - 1 < len(raw_lines) else ""
-        if "global-state" in ALLOW_RE.findall(raw_line):
-            continue
-        if global_state_exempt(raw_lines, stmt_line):
+        m = GLOBAL_DECL_RE.match(re.sub(r"\{[^{}]*\}", " ", stmt).strip())
+        # CRH_GLOBAL_STATE_EXEMPT on the declaration's first line or in
+        # the four raw lines above it (the macro call may wrap).
+        if not m or src.allowed(stmt_line, "global-state") or any(
+                GLOBAL_EXEMPT_MACRO in raw_lines[k]
+                for k in range(max(0, stmt_line - 5), stmt_line)):
             continue
         decls.append((stmt_line, m.group(1),
                       "namespace-scope mutable variable"))
 
-    if spans is None:
-        spans = scan_file_functions(rel, clean)
-    for span in spans:
-        qual, name, start, end = span[:4]
-        open_line = span[4] if len(span) > 4 else None
+    for qual, name, start, end, open_line in scan_file_functions(code):
         fn = FunctionModel(qual, name, rel, start, end, open_line)
-        fn.head = " ".join(
-            ln.strip() for ln in clean_lines[fn.start_line - 1:fn.open_line])
-        extract_body(fn, clean_lines, raw_lines, unordered_names,
-                     function_objs)
-        scan_snapshot_escapes(fn, clean_lines, raw_lines)
+        extract_body(fn, src, function_objs)
+        scan_snapshot_escapes(fn, src)
         model.add(fn)
 
         # Mutable function-local statics (singletons). The enclosing
         # function vouches for all of them by carrying the exemption macro
         # anywhere in its body.
-        fn_exempt = any(
-            GLOBAL_EXEMPT_MACRO in raw_lines[k]
-            for k in range(fn.start_line - 1,
-                           min(fn.end_line, len(raw_lines))))
-        if fn_exempt:
+        if any(GLOBAL_EXEMPT_MACRO in raw_lines[k]
+               for k in range(fn.start_line - 1, fn.end_line)):
             continue
         # From the line after the body `{` opens: the head itself may be a
         # `static` member-function definition.
-        for lineno in range(fn.open_line + 1,
-                            min(fn.end_line, len(clean_lines)) + 1):
-            if not STATIC_LOCAL_RE.match(clean_lines[lineno - 1]):
-                continue
-            raw_line = raw_lines[lineno - 1] \
-                if lineno - 1 < len(raw_lines) else ""
-            if "global-state" in ALLOW_RE.findall(raw_line):
-                continue
-            decls.append((lineno, fn.qual_name,
-                          "mutable function-local static in"))
+        for lineno in range(fn.open_line + 1, fn.end_line + 1):
+            if STATIC_LOCAL_RE.match(clean_lines[lineno - 1]) \
+                    and not src.allowed(lineno, "global-state"):
+                decls.append((lineno, fn.qual_name,
+                              "mutable function-local static in"))
     if decls:
         model.global_decls[rel] = sorted(decls)
 
 
-def collect_status_functions(files: list[pathlib.Path]) -> set[str]:
-    names: set[str] = set()
-    for path in files:
-        clean = strip_comments_and_strings(read_text(path))
-        for m in STATUS_DECL_RE.finditer(clean):
-            names.add(m.group(1))
-    return names - STATUS_FACTORIES
-
-
-def build_model_token(files: list[pathlib.Path]) -> ProgramModel:
-    model = ProgramModel()
-    model.files = files
-    for path in files:
-        model_file(model, path)
-    model.status_functions = collect_status_functions(files)
-    return model
-
-
-# ---------------------------------------------------------------------------
-# Hybrid libclang backend: the AST supplies exact function extents and
-# qualified names; extract_body supplies the flow-sensitive facts. Files
-# the AST yields nothing for (e.g. unparsable snippets) fall back to the
-# tokenizer scanner so coverage never silently shrinks.
-
-
-def build_model_libclang(files: list[pathlib.Path]) -> ProgramModel:
-    from clang import cindex  # deferred import; may be absent
-
-    index = cindex.Index.create()
-    args = ["-std=c++20", "-x", "c++", f"-I{REPO_ROOT / 'src'}",
-            "-Wno-everything"]
-    model = ProgramModel()
-    model.files = files
-
-    fn_kinds = {cindex.CursorKind.FUNCTION_DECL, cindex.CursorKind.CXX_METHOD,
-                cindex.CursorKind.CONSTRUCTOR, cindex.CursorKind.DESTRUCTOR,
-                cindex.CursorKind.FUNCTION_TEMPLATE}
-
-    def qual_of(cursor) -> str:
-        parent = cursor.semantic_parent
-        if parent is not None and parent.kind in (
-                cindex.CursorKind.CLASS_DECL, cindex.CursorKind.STRUCT_DECL,
-                cindex.CursorKind.CLASS_TEMPLATE):
-            return f"{parent.spelling}::{cursor.spelling}"
-        return cursor.spelling
-
-    def walk(cursor, resolved, spans):
-        for child in cursor.get_children():
-            loc = child.location
-            if loc.file is None or \
-                    pathlib.Path(loc.file.name).resolve() != resolved:
-                continue
-            if child.kind in fn_kinds and child.is_definition():
-                name = child.spelling
-                if name.startswith("operator"):
-                    name = "operatorX"
-                spans.append((qual_of(child) if "::" not in name else name,
-                              name, child.extent.start.line,
-                              child.extent.end.line))
-            else:
-                walk(child, resolved, spans)
-
-    for path in files:
-        resolved = path.resolve()
-        tu = index.parse(str(resolved), args=args)
-        fatal = [d for d in tu.diagnostics if d.severity >= 4]
-        if fatal:
-            raise RuntimeError(
-                f"libclang could not parse {path}: {fatal[0].spelling}")
-        spans: list[tuple[str, str, int, int]] = []
-        walk(tu.cursor, resolved, spans)
-        model_file(model, path, spans=spans if spans else None)
-    model.status_functions = collect_status_functions(files)
+def build_model(sources: list[Source]) -> ProgramModel:
+    model = ProgramModel(sources)
+    for src in sources:
+        for m in STATUS_DECL_RE.finditer(src.clean):
+            model.status_functions.add(m.group(2))
+            if m.group(1) != "Status":
+                model.result_functions.add(m.group(2))
+        if src.rel.startswith(MODEL_DIRS):
+            model_file(model, src)
+    model.status_functions -= STATUS_FACTORIES
     return model
 
 
@@ -1090,12 +954,9 @@ def build_model_libclang(files: list[pathlib.Path]) -> ProgramModel:
 
 
 def fix_reachable(model: ProgramModel, seed) -> set[int]:
-    """Generic backward fixpoint: the set of functions (by id) for which
-    `seed(fn)` holds or that call such a function."""
-    flagged: set[int] = set()
-    for fn in model.functions:
-        if seed(fn):
-            flagged.add(id(fn))
+    """Backward fixpoint: the ids of functions for which `seed(fn)` holds
+    or that call such a function."""
+    flagged = {id(fn) for fn in model.functions if seed(fn)}
     changed = True
     while changed:
         changed = False
@@ -1111,7 +972,7 @@ def fix_reachable(model: ProgramModel, seed) -> set[int]:
 
 
 def transitive_lock_acquires(model: ProgramModel) -> dict[int, set[str]]:
-    """For each function: the set of lock ids it (or any transitive callee)
+    """For each function: the lock ids it or any transitive callee
     acquires."""
     acquires: dict[int, set[str]] = {
         id(fn): {lock for _, lock, _ in fn.lock_acquires}
@@ -1130,29 +991,92 @@ def transitive_lock_acquires(model: ProgramModel) -> dict[int, set[str]]:
     return acquires
 
 
-def call_paths_to(model: ProgramModel, target: FunctionModel,
-                  max_hops: int = 8) -> list[str]:
-    """A representative entry-point → ... → target chain (qualified names),
-    following the reverse call graph breadth-first."""
-    callers: dict[str, list[FunctionModel]] = {}
-    for fn in model.functions:
-        for _, callee, _ in fn.calls:
-            callers.setdefault(callee, []).append(fn)
-    path = [target.qual_name]
-    cur = target
-    seen = {id(target)}
+def follow_chain(start: FunctionModel, step, max_hops: int = 8):
+    """Follows `step(fn, seen_ids) -> next fn or None` for up to max_hops.
+    Returns the visited functions in order."""
+    chain = [start]
+    seen = {id(start)}
     for _ in range(max_hops):
-        ups = [c for c in callers.get(cur.name, []) if id(c) not in seen]
-        if not ups:
+        nxt = step(chain[-1], seen)
+        if nxt is None:
             break
-        cur = ups[0]
-        seen.add(id(cur))
-        path.append(cur.qual_name)
-    return list(reversed(path))
+        seen.add(id(nxt))
+        chain.append(nxt)
+    return chain
 
 
 # ---------------------------------------------------------------------------
-# The checks.
+# The rules.
+
+
+def grep_rule(rule: str, message: str, pattern: re.Pattern,
+              scope=ALL_DIRS, exclude=(), raw=False):
+    """A rule that flags every line in scope matching `pattern`."""
+    def check(model: ProgramModel, findings: list[Finding]) -> None:
+        for src in model.scoped(scope, exclude):
+            for lineno, line in enumerate(src.raw_lines if raw else src.lines,
+                                          1):
+                if pattern.search(line) and not src.allowed(lineno, rule):
+                    findings.append(Finding(src.rel, lineno, rule, message))
+    return check
+
+
+def check_determinism(model: ProgramModel, findings: list[Finding]) -> None:
+    grep_rule("determinism",
+              "use the seeded crh::Rng, not std::rand/srand/time seeding",
+              NONDETERMINISM_RE, exclude=DETERMINISM_DIRS)(model, findings)
+    grep_rule("determinism",
+              "raw clock/RNG/getenv in a deterministic layer; go through "
+              "common/stopwatch.h, common/rng.h or the fault-injection shims "
+              "(they carry CRH_DETERMINISM_EXEMPT)",
+              DETERMINISM_LAYER_RE, scope=DETERMINISM_DIRS)(model, findings)
+
+
+def check_mutex_annotations(model: ProgramModel,
+                            findings: list[Finding]) -> None:
+    for src in model.sources:
+        header = src.rel.endswith((".h", ".hpp"))
+        # mutex.h defines the annotated lock types themselves.
+        if src.rel == "src/common/mutex.h" or not (
+                src.rel.startswith("src/")
+                or (header and src.rel.startswith(ALL_DIRS))):
+            continue
+        missing = None
+        if header and not THREAD_ANNOTATIONS_INCLUDE_RE.search(src.raw):
+            missing = "the common/thread_annotations.h include"
+        elif header and not CRH_ANNOTATION_USE_RE.search(src.clean):
+            missing = "any CRH_* capability annotation"
+        guarded = {m.group(1) for m in GUARDED_NAME_RE.finditer(src.clean)}
+        for lineno, line in enumerate(src.lines, 1):
+            m = MUTEX_MEMBER_RE.match(line)
+            if not m or src.allowed(lineno, "mutex-annotations"):
+                continue
+            kind, name = m.groups()
+            if missing:
+                why = f"its header lacks {missing}"
+            elif kind in ("Mutex", "std::mutex") and name not in guarded:
+                why = "no CRH_GUARDED_BY/CRH_REQUIRES/... in this file names it"
+            else:
+                continue
+            findings.append(Finding(
+                src.rel, lineno, "mutex-annotations",
+                f"lock member '{name}' is invisible to -Wthread-safety: {why}; "
+                "annotate what it protects (common/thread_annotations.h)"))
+
+
+def check_unordered_iteration(model: ProgramModel,
+                              findings: list[Finding]) -> None:
+    for src in model.scoped(("src/",)):
+        for lineno, line in enumerate(src.lines, 1):
+            if any(unordered_range_expr(m.group(2), src.unordered_names)
+                   for m in RANGE_FOR_RE.finditer(line)) \
+                    and not src.allowed(lineno, "unordered-iteration"):
+                findings.append(Finding(
+                    src.rel, lineno, "unordered-iteration",
+                    "range-for over an unordered container: bucket order "
+                    "is implementation-defined and leaks into anything "
+                    "this loop computes; probe keys in a deterministic "
+                    "order instead (see WeightedVote)"))
 
 
 def check_determinism_taint(model: ProgramModel,
@@ -1163,17 +1087,18 @@ def check_determinism_taint(model: ProgramModel,
     # Exempt functions are barriers even when their callees are tainted.
     tainted -= {id(fn) for fn in model.functions if fn.exempt}
 
-    def sink_of(fn: FunctionModel) -> bool:
-        if fn.qual_name in TAINT_SINKS or fn.name in TAINT_SINKS:
-            return True
-        return fn.name == "main" and fn.rel.startswith(SINK_MAIN_DIRS)
+    def next_tainted(fn: FunctionModel, seen: set[int]):
+        if fn.taint_sources:
+            return None
+        return next((t for _, callee, _ in fn.calls
+                     for t in model.resolve(callee)
+                     if id(t) in tainted and id(t) not in seen), None)
 
     for fn in model.functions:
-        if not sink_of(fn):
+        if fn.exempt or not (
+                fn.qual_name in TAINT_SINKS or fn.name in TAINT_SINKS
+                or (fn.name == "main" and fn.rel.startswith(SINK_MAIN_DIRS))):
             continue
-        if fn.exempt:
-            continue
-        # Direct sources in the sink body.
         for lineno, desc in fn.taint_sources:
             findings.append(Finding(
                 fn.rel, lineno, "determinism-taint",
@@ -1182,65 +1107,55 @@ def check_determinism_taint(model: ProgramModel,
                 "(common/stopwatch.h) or remove it"))
         # Transitive: a call chain from the sink to a tainted source.
         for lineno, callee, _ in fn.calls:
-            for target in model.resolve(callee):
-                if id(target) not in tainted or target.exempt:
-                    continue
-                chain = trace_taint_chain(model, target, tainted)
-                findings.append(Finding(
-                    fn.rel, lineno, "determinism-taint",
-                    f"{fn.qual_name} publishes results but calls "
-                    f"{' -> '.join(chain)}, which reads "
-                    f"{taint_leaf_desc(model, chain)}; add "
-                    "CRH_DETERMINISM_EXEMPT(\"why\") at the boundary that "
-                    "provably keeps it out of published state, or fix the "
-                    "source"))
-                break
-
-
-def trace_taint_chain(model: ProgramModel, start: FunctionModel,
-                      tainted: set[int], max_hops: int = 8) -> list[str]:
-    chain = [start.qual_name]
-    cur = start
-    seen = {id(start)}
-    for _ in range(max_hops):
-        if cur.taint_sources:
-            break
-        nxt = None
-        for _, callee, _ in cur.calls:
-            for target in model.resolve(callee):
-                if id(target) in tainted and id(target) not in seen:
-                    nxt = target
-                    break
-            if nxt:
-                break
-        if not nxt:
-            break
-        cur = nxt
-        seen.add(id(cur))
-        chain.append(cur.qual_name)
-    return chain
-
-
-def taint_leaf_desc(model: ProgramModel, chain: list[str]) -> str:
-    leaf = model.by_qual.get(chain[-1])
-    if leaf and leaf.taint_sources:
-        return leaf.taint_sources[0][1]
-    return "a nondeterministic source"
-
-
-def check_status_paths(model: ProgramModel,
-                       findings: list[Finding]) -> None:
-    for fn in model.functions:
-        for lineno, callee in fn.status_drops:
-            if callee not in model.status_functions:
+            target = next((t for t in model.resolve(callee)
+                           if id(t) in tainted), None)
+            if target is None:
                 continue
-            path = call_paths_to(model, fn)
-            via = " -> ".join(path + [f"{callee}()"])
+            chain = follow_chain(target, next_tainted)
+            leaf = chain[-1].taint_sources
             findings.append(Finding(
-                fn.rel, lineno, "status-path",
-                f"Status/Result from {callee}() is dropped on call-path "
-                f"{via}; propagate with CRH_RETURN_NOT_OK, handle it, or "
-                "annotate with analyzer:allow(status-path)"))
+                fn.rel, lineno, "determinism-taint",
+                f"{fn.qual_name} publishes results but calls "
+                f"{' -> '.join(f.qual_name for f in chain)}, which reads "
+                f"{leaf[0][1] if leaf else 'a nondeterministic source'}; add "
+                "CRH_DETERMINISM_EXEMPT(\"why\") at the boundary that "
+                "provably keeps it out of published state, or fix the "
+                "source"))
+
+
+def check_status_path(model: ProgramModel, findings: list[Finding]) -> None:
+    callers: dict[str, list[FunctionModel]] = {}
+    by_rel: dict[str, list[FunctionModel]] = {}
+    for fn in model.functions:
+        by_rel.setdefault(fn.rel, []).append(fn)
+        for _, callee, _ in fn.calls:
+            callers.setdefault(callee, []).append(fn)
+    for src in model.scoped(ALL_DIRS):
+        for lineno, line in enumerate(src.lines, 1):
+            callee = call_statement(line)
+            if callee in model.status_functions:
+                what = "is dropped"
+            else:
+                callee = next((v.group(2) for v in VOID_CAST_RE.finditer(line)
+                               if v.group(2) in model.result_functions), None)
+                what = "is (void)-cast away: a Result is a value or an error"
+            if callee is None or src.allowed(lineno, "status-path"):
+                continue
+            fn = next((f for f in by_rel.get(src.rel, ())
+                       if f.start_line <= lineno <= f.end_line), None)
+            via = ""
+            if fn is not None:
+                # A representative entry-point -> ... -> offender chain.
+                chain = follow_chain(fn, lambda f, seen: next(
+                    (c for c in callers.get(f.name, ()) if id(c) not in seen),
+                    None))
+                via = " on call-path " + " -> ".join(
+                    [f.qual_name for f in reversed(chain)] + [f"{callee}()"])
+            findings.append(Finding(
+                src.rel, lineno, "status-path",
+                f"Status/Result from {callee}() {what}{via}; propagate with "
+                "CRH_RETURN_NOT_OK or handle it (a `(void)` cast is the "
+                "visible opt-out for a Status only)"))
 
 
 def check_lock_order(model: ProgramModel, findings: list[Finding]) -> None:
@@ -1250,12 +1165,11 @@ def check_lock_order(model: ProgramModel, findings: list[Finding]) -> None:
         and fn.rel not in PRIMITIVE_FILES)
     invokes_callback = fix_reachable(
         model, lambda fn: bool(fn.callback_invokes))
+    functions = [fn for fn in model.functions if fn.rel not in PRIMITIVE_FILES]
 
     # Edge set: (held, acquired) -> first site.
     edges: dict[tuple[str, str], tuple[str, int, str]] = {}
-    for fn in model.functions:
-        if fn.rel in PRIMITIVE_FILES:
-            continue
+    for fn in functions:
         for lineno, acquired, held in fn.lock_acquires:
             for h in held:
                 if h != acquired:
@@ -1307,10 +1221,9 @@ def check_lock_order(model: ProgramModel, findings: list[Finding]) -> None:
             f"lock-order cycle {' -> '.join(cycle)} (edge acquired in "
             f"{where}); impose a single global acquisition order"))
 
-    # Locks held across fail-point / callback boundaries, interprocedural.
-    for fn in model.functions:
-        if fn.rel in PRIMITIVE_FILES:
-            continue
+    # Locks held across fail-point / callback boundaries: directly in this
+    # function, or through any call that reaches one.
+    for fn in functions:
         for lineno, callee, held in fn.calls:
             if not held:
                 continue
@@ -1337,15 +1250,20 @@ def check_lock_order(model: ProgramModel, findings: list[Finding]) -> None:
                     f"{fn.qual_name} invokes callback '{name}' while "
                     f"holding {{{', '.join(sorted(held))}}}; user code must "
                     "never run under a library lock"))
+        for lineno, held in fn.failpoints_held:
+            findings.append(Finding(
+                fn.rel, lineno, "lock-order",
+                f"{fn.qual_name} evaluates a fail point while holding "
+                f"{{{', '.join(sorted(held))}}}; release the lock first "
+                "(reserve-then-write, see CheckpointManager::Save)"))
 
 
 def check_failpoint_dominance(model: ProgramModel,
                               findings: list[Finding]) -> None:
     registered: set[str] = set()
-    for fn in model.functions:
-        registered |= fn.registered_sites
     used: dict[str, tuple[str, int]] = {}
     for fn in model.functions:
+        registered |= fn.registered_sites
         for lineno, site in fn.failpoint_sites:
             used.setdefault(site, (fn.rel, lineno))
 
@@ -1354,8 +1272,7 @@ def check_failpoint_dominance(model: ProgramModel,
                 fn.rel in PRIMITIVE_FILES:
             continue
         for lineno, what in fn.io_sites:
-            dominated = any(fp <= lineno for fp in fn.failpoint_lines)
-            if not dominated:
+            if not any(fp <= lineno for fp in fn.failpoint_lines):
                 findings.append(Finding(
                     fn.rel, lineno, "failpoint-dominance",
                     f"raw I/O call {what}() in {fn.qual_name} is not "
@@ -1376,10 +1293,8 @@ def load_arch_manifest():
     """Returns (module -> layer index, private_headers map) from
     scripts/arch_layers.json."""
     data = json.loads(ARCH_MANIFEST.read_text())
-    layer_of: dict[str, int] = {}
-    for idx, layer in enumerate(data["layers"]):
-        for mod in layer:
-            layer_of[mod] = idx
+    layer_of = {mod: idx for idx, layer in enumerate(data["layers"])
+                for mod in layer}
     return layer_of, data.get("private_headers", {})
 
 
@@ -1411,10 +1326,8 @@ def check_arch(model: ProgramModel, findings: list[Finding]) -> None:
                 "scripts/arch_layers.json; add it to the manifest"))
             continue
         for lineno, target in model.includes[rel]:
-            if "/" not in target:
-                continue
             tmod = target.split("/", 1)[0]
-            if tmod not in layer_of:
+            if "/" not in target or tmod not in layer_of:
                 continue
             if target in private and mod not in private[target]:
                 findings.append(Finding(
@@ -1436,31 +1349,21 @@ def check_arch(model: ProgramModel, findings: list[Finding]) -> None:
 
     # Cross-TU call edges. Simple-name resolution is ambiguous, so an edge
     # is flagged only when EVERY candidate resolution of the callee lives
-    # in a strictly later layer — one plausible clean target acquits it.
+    # in a strictly later layer: one plausible clean target acquits it.
     for fn in model.functions:
         mod = module_of(fn.rel)
         if mod is None or mod not in layer_of:
             continue
         reported: set[str] = set()
         for lineno, callee, _ in fn.calls:
-            if callee in reported:
-                continue
             targets = model.resolve(callee)
-            if not targets:
+            # Only free functions: a simple name shared with any method
+            # (size/empty/push_back/...) says nothing about the receiver.
+            if callee in reported or not targets or any(
+                    t.qual_name != t.name for t in targets):
                 continue
-            # Only free functions: a simple name shared with any class
-            # method (size/empty/push_back/...) says nothing about which
-            # module the receiver lives in.
-            if any(t.qual_name != t.name for t in targets):
-                continue
-            tmods: set[str] | None = set()
-            for t in targets:
-                tm = module_of(t.rel)
-                if tm is None or tm not in layer_of:
-                    tmods = None
-                    break
-                tmods.add(tm)
-            if not tmods:
+            tmods = {module_of(t.rel) for t in targets}
+            if not tmods <= layer_of.keys():
                 continue
             if all(tm != mod and layer_of[tm] > layer_of[mod]
                    for tm in tmods):
@@ -1476,9 +1379,7 @@ def check_arch(model: ProgramModel, findings: list[Finding]) -> None:
 def check_global_state(model: ProgramModel,
                        findings: list[Finding]) -> None:
     for rel in sorted(model.global_decls):
-        if not rel.startswith(GLOBAL_STATE_SCOPE) or \
-                rel.startswith(GLOBAL_STATE_EXCLUDED) or \
-                rel == "src/common/global_state.h":
+        if not rel.startswith("src/") or rel.startswith(GLOBAL_STATE_EXCLUDED):
             continue
         for lineno, name, kind in model.global_decls[rel]:
             findings.append(Finding(
@@ -1491,8 +1392,8 @@ def check_global_state(model: ProgramModel,
 
 
 def check_hot(model: ProgramModel, findings: list[Finding]) -> None:
-    # Local dirt: allocation/throw patterns plus the already-modeled lock,
-    # I/O, fail-point and std::function-invocation events.
+    # Local dirt: allocation/throw patterns plus the modeled lock, I/O,
+    # fail-point and std::function-invocation events.
     local_reasons: dict[int, list[tuple[int, str]]] = {}
     for fn in model.functions:
         if fn.rel in PRIMITIVE_FILES:
@@ -1538,32 +1439,19 @@ def check_hot(model: ProgramModel, findings: list[Finding]) -> None:
                     "kernels must be allocation-, lock-, I/O- and "
                     "throw-free — hoist the work into caller-owned "
                     "scratch (see SolverScratch in core/crh.cc)"))
-        else:
-            chain, leaf = trace_hot_chain(model, fn, dirty)
-            leaf_why = local_reasons.get(
-                id(leaf),
-                [(leaf.start_line, "performs a hot-unsafe operation")])[0][1]
-            findings.append(Finding(
-                fn.rel, entry[1], "hot",
-                f"{fn.qual_name} is CRH_HOT but calls "
-                f"{' -> '.join(chain[1:])}, which {leaf_why}; every "
-                "transitive callee of a hot kernel must be real-time "
-                "safe"))
-
-
-def trace_hot_chain(model: ProgramModel, start: FunctionModel,
-                    dirty: dict[int, tuple], max_hops: int = 8):
-    """Follows the recorded dirtying call of each function down to a
-    locally-dirty leaf; returns (qualified-name chain, leaf model)."""
-    chain = [start.qual_name]
-    cur = start
-    for _ in range(max_hops):
-        entry = dirty.get(id(cur))
-        if entry is None or entry[0] == "local":
-            break
-        cur = entry[3]
-        chain.append(cur.qual_name)
-    return chain, cur
+            continue
+        # Follow the recorded dirtying call down to a locally dirty leaf.
+        chain = follow_chain(fn, lambda f, _: dirty[id(f)][3]
+                             if dirty[id(f)][0] == "call" else None)
+        leaf_why = local_reasons.get(
+            id(chain[-1]),
+            [(0, "performs a hot-unsafe operation")])[0][1]
+        findings.append(Finding(
+            fn.rel, entry[1], "hot",
+            f"{fn.qual_name} is CRH_HOT but calls "
+            f"{' -> '.join(f.qual_name for f in chain[1:])}, which "
+            f"{leaf_why}; every transitive callee of a hot kernel must be "
+            "real-time safe"))
 
 
 def untrusted_taint_state(fn: FunctionModel, names: set[str]):
@@ -1619,18 +1507,15 @@ def check_untrusted_taint(model: ProgramModel,
     while changed:
         changed = False
         for fn in scoped:
-            if fn.name in names:
-                continue
-            if untrusted_taint_state(fn, names)[2]:
+            if fn.name not in names and untrusted_taint_state(fn, names)[2]:
                 names.add(fn.name)
                 changed = True
 
     for fn in model.functions:
         if fn.rel in PRIMITIVE_FILES:
             continue
-        in_scope = fn.rel.startswith(UNTRUSTED_SCOPED_DIRS)
         tainted, bad_sinks, _ = untrusted_taint_state(fn, names)
-        if in_scope:
+        if fn.rel.startswith(UNTRUSTED_SCOPED_DIRS):
             for sline, kind, var, src, desc in bad_sinks:
                 findings.append(Finding(
                     fn.rel, sline, "taint",
@@ -1655,32 +1540,82 @@ def check_untrusted_taint(model: ProgramModel,
 def check_snapshot_lifetime(model: ProgramModel,
                             findings: list[Finding]) -> None:
     for fn in model.functions:
-        if not fn.rel.startswith(SNAPSHOT_SCOPED_DIRS) or \
-                fn.rel in PRIMITIVE_FILES:
-            continue
-        for lineno, what in fn.snap_escapes:
-            findings.append(Finding(
-                fn.rel, lineno, "snapshot-lifetime",
-                f"{fn.qual_name} {what}"))
+        if fn.rel.startswith(SNAPSHOT_SCOPED_DIRS) and \
+                fn.rel not in PRIMITIVE_FILES:
+            for lineno, what in fn.snap_escapes:
+                findings.append(Finding(
+                    fn.rel, lineno, "snapshot-lifetime",
+                    f"{fn.qual_name} {what}"))
 
 
-ALL_CHECKS = {
-    "determinism-taint": check_determinism_taint,
-    "status-path": check_status_paths,
-    "lock-order": check_lock_order,
-    "failpoint-dominance": check_failpoint_dominance,
-    "taint": check_untrusted_taint,
-    "snapshot-lifetime": check_snapshot_lifetime,
-    "arch": check_arch,
-    "global-state": check_global_state,
-    "hot": check_hot,
+# name -> (check, one-line description). Line rules first, then the
+# whole-program checks over the model.
+RULES = {
+    "include-cc": (grep_rule(
+        "include-cc", "do not #include .cc files", INCLUDE_CC_RE, raw=True),
+        "#include of a .cc file"),
+    "naked-new": (grep_rule(
+        "naked-new", "naked new/delete outside src/common/; own memory "
+        "through containers and smart pointers", NAKED_NEW_RE,
+        exclude=("src/common/",)),
+        "naked new/delete outside src/common/"),
+    "determinism": (check_determinism,
+                    "std::rand/srand/time(nullptr) seeding anywhere; raw "
+                    "clock/RNG/getenv in src/core, src/weights, src/stream"),
+    "raw-assert": (grep_rule(
+        "raw-assert", "use CRH_CHECK/CRH_DCHECK instead of assert()",
+        RAW_ASSERT_RE, exclude=("tests/",)),
+        "raw assert() outside tests/"),
+    "float-equality": (grep_rule(
+        "float-equality", "exact ==/!= on a double; use NearlyEqual or an "
+        "explicit tolerance", FLOAT_EQ_RE, scope=("src/",)),
+        "exact ==/!= on a floating-point value"),
+    "unchecked-io-write": (grep_rule(
+        "unchecked-io-write", "fwrite/fflush/rename/fclose return value is "
+        "dropped; a failed write or close is how torn output happens",
+        UNCHECKED_IO_RE), "fwrite/fflush/rename/fclose return dropped"),
+    "mutex-annotations": (check_mutex_annotations,
+                          "lock member the thread-safety analysis cannot "
+                          "check"),
+    "unordered-iteration": (check_unordered_iteration,
+                            "iteration order of an unordered container "
+                            "leaks into computed state"),
+    "determinism-taint": (check_determinism_taint,
+                          "nondeterministic value can reach a published "
+                          "output (checkpoint, CSV, bench/CLI report)"),
+    "status-path": (check_status_path,
+                    "Status/Result call dropped, or a Result (void)-cast "
+                    "away"),
+    "lock-order": (check_lock_order,
+                   "lock-acquisition cycle, or lock held across a "
+                   "fail-point/callback boundary"),
+    "failpoint-dominance": (check_failpoint_dominance,
+                            "raw I/O call not dominated by a registered "
+                            "fail point, or fail-point site not registered"),
+    "taint": (check_untrusted_taint,
+              "untrusted byte-derived value reaches an allocation size, "
+              "index, copy length, or loop bound without a dominating "
+              "bounds check (or CRH_SANITIZED is misused on trusted data)"),
+    "snapshot-lifetime": (check_snapshot_lifetime,
+                          "raw pointer/view derived from an epoch "
+                          "ServeSnapshot escapes the owning shared_ptr's "
+                          "scope"),
+    "arch": (check_arch,
+             "include or call edge violates the committed layer DAG "
+             "(scripts/arch_layers.json), or a private header leaks"),
+    "global-state": (check_global_state,
+                     "mutable global/static state in a library layer "
+                     "breaks epoch-snapshot isolation"),
+    "hot": (check_hot,
+            "CRH_HOT function (transitively) allocates, locks, blocks, "
+            "throws, or evaluates a fail point"),
 }
 
 
 def run_checks(model: ProgramModel, checks=None,
                timings: dict[str, float] | None = None) -> list[Finding]:
     findings: list[Finding] = []
-    for name, check in ALL_CHECKS.items():
+    for name, (check, _) in RULES.items():
         if checks is not None and name not in checks:
             continue
         t0 = time.monotonic()
@@ -1692,23 +1627,21 @@ def run_checks(model: ProgramModel, checks=None,
 
 
 # ---------------------------------------------------------------------------
-# Module-graph rendering (--graph / --graph-svg). Both forms are built from
-# the manifest plus the observed include edges and are fully deterministic:
-# CI regenerates docs/architecture.svg and diffs it against the committed
-# copy, so the picture can never drift from the tree.
+# Layer diagram (--graph-svg), built from the manifest plus the observed
+# include edges and fully deterministic: CI regenerates docs/architecture.svg
+# and diffs it against the committed copy.
 
 
-def collect_module_edges(files: list[pathlib.Path]):
+def collect_module_edges(sources: list[Source]):
     """Observed include edges between manifest modules:
     (from_module, to_module) -> include count."""
     layer_of, _ = load_arch_manifest()
     edges: dict[tuple[str, str], int] = {}
-    for path in files:
-        rel = rel_str(path)
-        mod = module_of(rel)
+    for src in sources:
+        mod = module_of(src.rel)
         if mod is None or mod not in layer_of:
             continue
-        for raw_line in read_text(path).splitlines():
+        for raw_line in src.raw_lines:
             m = INCLUDE_RE.match(raw_line)
             if not m or "/" not in m.group(1):
                 continue
@@ -1718,24 +1651,8 @@ def collect_module_edges(files: list[pathlib.Path]):
     return edges
 
 
-def render_module_dot(edges: dict[tuple[str, str], int]) -> str:
-    data = json.loads(ARCH_MANIFEST.read_text())
-    lines = ["digraph crh_arch {",
-             "  // arrows point at the dependency (lower layer)",
-             "  rankdir=BT;",
-             '  node [shape=box, fontname="Helvetica"];']
-    for layer in data["layers"]:
-        lines.append("  { rank=same; "
-                     + " ".join(f'"{m}";' for m in layer) + " }")
-    for (a, b) in sorted(edges):
-        lines.append(f'  "{a}" -> "{b}" [label="{edges[(a, b)]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def render_module_svg(edges: dict[tuple[str, str], int]) -> str:
-    data = json.loads(ARCH_MANIFEST.read_text())
-    layers = data["layers"]
+    layers = json.loads(ARCH_MANIFEST.read_text())["layers"]
     bw, bh, hgap, vgap = 130, 40, 46, 70
     margin, top = 40, 72
     nlayers = len(layers)
@@ -1787,71 +1704,7 @@ def render_module_svg(edges: dict[tuple[str, str], int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Source discovery: compile_commands.json when available, else a tree scan.
-
-
-def discover_compile_commands(explicit: str | None) -> pathlib.Path | None:
-    if explicit:
-        p = pathlib.Path(explicit)
-        return p if p.exists() else None
-    candidates = sorted(REPO_ROOT.glob("build*/compile_commands.json"))
-    return candidates[0] if candidates else None
-
-
-def iter_sources(paths: list[str],
-                 compile_commands: pathlib.Path | None) -> list[pathlib.Path]:
-    if paths:
-        files: list[pathlib.Path] = []
-        for p in paths:
-            root = pathlib.Path(p)
-            if root.is_file():
-                if root.suffix in CXX_SUFFIXES:
-                    files.append(root)
-            else:
-                files.extend(f for f in sorted(root.rglob("*"))
-                             if f.suffix in CXX_SUFFIXES
-                             and "build" not in f.parts)
-        return files
-
-    tu_files: list[pathlib.Path] = []
-    if compile_commands is not None:
-        try:
-            db = json.loads(compile_commands.read_text())
-            for entry in db:
-                f = pathlib.Path(entry["directory"]) / entry["file"] \
-                    if not pathlib.Path(entry["file"]).is_absolute() \
-                    else pathlib.Path(entry["file"])
-                f = f.resolve()
-                if f.is_relative_to(REPO_ROOT) and f.suffix in CXX_SUFFIXES \
-                        and f.exists():
-                    rel = rel_str(f)
-                    if rel.startswith(tuple(d + "/" for d in DEFAULT_DIRS)):
-                        tu_files.append(f)
-        except (json.JSONDecodeError, KeyError, OSError) as exc:
-            print(f"crh_analyzer: unreadable {compile_commands}: {exc}; "
-                  "falling back to a tree scan", file=sys.stderr)
-            tu_files = []
-    seen = {str(f) for f in tu_files}
-    # Headers never appear as TUs; the model needs them (decls, inline
-    # bodies, registries). Scan the same roots for everything else too when
-    # no DB was found.
-    scan_everything = not tu_files
-    for d in DEFAULT_DIRS:
-        root = REPO_ROOT / d
-        if not root.is_dir():
-            continue
-        for f in sorted(root.rglob("*")):
-            if f.suffix not in CXX_SUFFIXES or "build" in f.parts:
-                continue
-            if f.suffix in (".h", ".hpp") or scan_everything:
-                if str(f.resolve()) not in seen:
-                    tu_files.append(f.resolve())
-                    seen.add(str(f.resolve()))
-    return sorted(tu_files)
-
-
-# ---------------------------------------------------------------------------
-# Baseline (ast_lint conventions + justification suffixes + staleness).
+# Baseline, SARIF and budget.
 
 
 def load_baseline() -> set[str]:
@@ -1878,14 +1731,167 @@ def write_baseline(findings: list[Finding]) -> None:
     BASELINE.write_text("\n".join(lines) + "\n")
 
 
+def write_sarif(path: str, findings: list[Finding]) -> None:
+    """Writes a SARIF 2.1.0 log: one run, one result per finding, one
+    reportingDescriptor per registered rule."""
+    rules = [{"id": name, "shortDescription": {"text": doc},
+              "defaultConfiguration": {"level": "error"}}
+             for name, (_, doc) in sorted(RULES.items())]
+    results = [{
+        "ruleId": f.rule,
+        "level": "error",
+        "message": {"text": f.message},
+        "locations": [{"physicalLocation": {
+            "artifactLocation": {"uri": f.path, "uriBaseId": "SRCROOT"},
+            "region": {"startLine": max(1, f.line)}}}],
+    } for f in findings]
+    log = {
+        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+        "version": "2.1.0",
+        "runs": [{
+            "tool": {"driver": {
+                "name": "crh_analyzer",
+                "informationUri":
+                    "https://github.com/crh/crh/blob/main/docs/TOOLING.md",
+                "rules": rules}},
+            "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
+            "results": results,
+        }],
+    }
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(log, indent=2) + "\n", encoding="utf-8")
+
+
+def check_budget_file(path: str, timings: dict[str, float]) -> list[str]:
+    """Compares per-rule wall times against the committed budget (ms). A
+    rule with no budget entry, or one exceeding its budget by >50%, is a
+    failure message."""
+    try:
+        budgets = json.loads(pathlib.Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        return [f"crh_analyzer: unreadable budget file {path}: {exc}"]
+    problems: list[str] = []
+    for name in sorted(timings):
+        ms = timings[name] * 1000.0
+        budget = budgets.get(name)
+        if not isinstance(budget, (int, float)):
+            problems.append(
+                f"crh_analyzer: check '{name}' has no committed wall-time "
+                f"budget in {path}; add one so CI tracks its cost")
+        elif ms > budget * 1.5:
+            problems.append(
+                f"crh_analyzer: check '{name}' took {ms:.0f}ms, more than "
+                f"1.5x its {budget:.0f}ms budget in {path}; speed the check "
+                "up or commit a justified new budget")
+    return problems
+
+
+def parse_check_arg(raw: str):
+    """Parses a --check=LIST value. Returns (checks, None) on success or
+    (None, one-line error naming every valid check) on an unknown name."""
+    checks = {c.strip() for c in raw.split(",") if c.strip()}
+    unknown = sorted(checks - set(RULES))
+    if unknown:
+        return None, (
+            f"crh_analyzer: unknown check(s): {', '.join(unknown)}; "
+            f"valid checks: {', '.join(sorted(RULES))}")
+    return checks, None
+
+
 # ---------------------------------------------------------------------------
-# Self-test corpus: a miniature multi-TU tree; each check must fire on its
-# positive case and stay quiet on the negative twin.
+# Self-test corpus: a miniature multi-TU tree. A file named
+# `<rule>_pos<N>.<ext>` must draw a finding of that rule; one named
+# `<rule>_neg<N>.<ext>` must draw none. Other files are shared helpers.
 
 SELF_TEST_FILES = {
+    # --- line rules: each positive sits inside its rule's scope; each
+    # negative spells the code right or sits where the rule exempts it.
+    "tests/include-cc_pos.cc": '#include "core/crh.cc"\n',
+    "tests/include-cc_neg.cc": '#include "core/crh.h"\n',
+    "src/core/naked-new_pos.cc": "int* Leak() { return new int(7); }\n",
+    "src/core/naked-new_neg.cc":
+        "auto Own() { return std::make_unique<int>(7); }\n",
+    "src/common/naked-new_neg2.cc": "int* Raw() { return new int(7); }\n",
+    "tests/determinism_pos.cc": "int Roll() { return std::rand() % 6; }\n",
+    "src/core/determinism_pos2.cc":
+        'const char* Home() { return std::getenv("HOME"); }\n',
+    "src/data/determinism_neg.cc":
+        'const char* Home() { return std::getenv("HOME"); }\n',
+    "src/core/raw-assert_pos.cc": "void Check(int n) { assert(n > 0); }\n",
+    "src/core/raw-assert_neg.cc": "static_assert(sizeof(int) == 4);\n",
+    "tests/raw-assert_neg2.cc": "void Check(int n) { assert(n > 0); }\n",
+    "src/core/float-equality_pos.cc":
+        "bool IsHalf(double x) { return x == 0.5; }\n",
+    "src/core/float-equality_neg.cc":
+        "bool IsHalf(double x) { return NearlyEqual(x, 0.5); }\n",
+    "tests/float-equality_neg2.cc":
+        "bool IsHalf(double x) { return x == 0.5; }\n",
+    "examples/unchecked-io-write_pos.cc":
+        "void Flush(std::FILE* out) {\n  std::fflush(out);\n}\n",
+    "examples/unchecked-io-write_neg.cc":
+        "bool Flush(std::FILE* out) {\n  return std::fflush(out) == 0;\n}\n",
+    # --- mutex-annotations: a header lacking the annotations include, a
+    # mutex that guards nothing in an annotated header, and a lock in a
+    # test header (positive) vs a fully annotated header (negative).
+    "src/stream/mutex-annotations_pos.h": """
+#include "common/mutex.h"
+namespace crh {
+class Unguarded {
+ private:
+  Mutex mu_;
+  int counter_ = 0;
+};
+}
+""",
+    "src/stream/mutex-annotations_pos2.h": """
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+class HalfGuarded {
+  Mutex mu_;
+  Mutex idle_mu_;
+  int counter_ CRH_GUARDED_BY(mu_) = 0;
+};
+""",
+    "tests/mutex-annotations_pos3.h":
+        "class Waiter {\n  std::condition_variable cv_;\n};\n",
+    "src/stream/mutex-annotations_neg.h": """
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+namespace crh {
+class Guarded {
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  int counter_ CRH_GUARDED_BY(mu_) = 0;
+};
+}
+""",
+    "src/core/unordered-iteration_pos.h": """
+#include <unordered_map>
+namespace crh {
+inline int Sum(const std::unordered_map<int, int>& histogram) {
+  int total = 0;
+  for (const auto& [key, count] : histogram) total += key * count;
+  return total;
+}
+}
+""",
+    "src/core/unordered-iteration_neg.h": """
+#include <unordered_map>
+#include <vector>
+namespace crh {
+inline int Sum(const std::vector<int>& keys,
+               const std::unordered_map<int, int>& histogram) {
+  int total = 0;
+  for (int key : keys) total += histogram.count(key);
+  return total;
+}
+}
+""",
     # --- determinism-taint: clock read flows through a helper into the
     # checkpoint encoder (positive), exempt twin is a barrier (negative).
-    "src/stream/taint_pos.cc": """
+    "src/stream/determinism-taint_pos.cc": """
 namespace crh {
 double SampleClock() {
   return static_cast<double>(Clock::now().time_since_epoch().count());
@@ -1898,7 +1904,7 @@ std::string EncodeCheckpoint(const CheckpointState& state) {
 }
 }
 """,
-    "src/stream/taint_neg.cc": """
+    "src/stream/determinism-taint_neg.cc": """
 namespace crh {
 double SampleClockExempt() {
   CRH_DETERMINISM_EXEMPT("timing report only; never serialized");
@@ -1911,8 +1917,10 @@ std::string EncodeCheckpointNeg(const CheckpointState& state) {
 }
 }
 """,
-    # --- status-path: dropped Status call (positive) vs propagated twin.
-    "src/stream/status_pos.cc": """
+    # --- status-path: a dropped Status call in the library and in a test,
+    # and a (void)-cast Result (positive) vs propagation, a consumed
+    # Result, and the (void) opt-out a Status allows (negative).
+    "src/stream/status-path_pos.cc": """
 namespace crh {
 Status SaveThing(int x) { return OkStatus(); }
 void CallerDrops() {
@@ -1921,18 +1929,33 @@ void CallerDrops() {
 void EntryPoint() { CallerDrops(); }
 }
 """,
-    "src/stream/status_neg.cc": """
+    "src/stream/status-path_pos2.h": """
+#include "common/status.h"
+namespace crh {
+Result<int> ParseCount(int raw);
+inline void Oops(int raw) {
+  (void)ParseCount(raw);
+}
+}
+""",
+    "tests/status-path_pos3.cc": "TEST(Save, Drops) {\n  SaveThing(2);\n}\n",
+    "src/stream/status-path_neg.cc": """
 namespace crh {
 Status SaveOther(int x) { return OkStatus(); }
 Status CallerPropagates() {
   CRH_RETURN_NOT_OK(SaveOther(1));
+  (void)SaveOther(2);
   return OkStatus();
+}
+inline int Fine(int raw) {
+  auto result = ParseCount(raw);
+  return result.ok() ? *result : 0;
 }
 }
 """,
     # --- lock-order: AB/BA cycle across two classes (positive) vs a
     # consistent global order (negative).
-    "src/stream/lock_pos.cc": """
+    "src/stream/lock-order_pos.cc": """
 namespace crh {
 class Left {
  public:
@@ -1957,7 +1980,7 @@ class Right {
 };
 }
 """,
-    "src/stream/lock_neg.cc": """
+    "src/stream/lock-order_neg.cc": """
 namespace crh {
 class Ordered {
  public:
@@ -1974,9 +1997,64 @@ class Ordered {
 };
 }
 """,
+    # --- lock-order, held across user code: a callback invoked and a fail
+    # point evaluated under the lock (positive) vs the same work after the
+    # lock's scope closes or before it opens (negative).
+    "src/stream/lock-order_pos2.h": """
+#include <functional>
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+namespace crh {
+class Bad {
+ public:
+  void Run(const std::function<void()>& callback) {
+    MutexLock lock(&mu_);
+    ++generation_;
+    callback();
+  }
+ private:
+  Mutex mu_;
+  int generation_ CRH_GUARDED_BY(mu_) = 0;
+};
+}
+""",
+    "src/stream/lock-order_neg2.h": """
+#include <functional>
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+namespace crh {
+class Good {
+ public:
+  void Run(const std::function<void()>& callback) {
+    {
+      MutexLock lock(&mu_);
+      ++generation_;
+    }
+    callback();
+  }
+ private:
+  Mutex mu_;
+  int generation_ CRH_GUARDED_BY(mu_) = 0;
+};
+}
+""",
+    "src/stream/lock-order_pos3.cc": """
+Status Journal::Append() {
+  MutexLock lock(&mu_);
+  CRH_FAIL_POINT("selftest.journal_append");
+  return OkStatus();
+}
+""",
+    "src/stream/lock-order_neg3.cc": """
+Status Journal::AppendGuarded() {
+  CRH_FAIL_POINT("selftest.journal_append");
+  MutexLock lock(&mu_);
+  return OkStatus();
+}
+""",
     # --- failpoint-dominance: bare fopen (positive) vs hit-then-open with
     # the site registered (negative), plus an unregistered-site positive.
-    "src/stream/io_pos.cc": """
+    "src/stream/failpoint-dominance_pos.cc": """
 namespace crh {
 Status WriteRaw(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -1985,7 +2063,7 @@ Status WriteRaw(const std::string& path) {
 }
 }
 """,
-    "src/stream/io_neg.cc": """
+    "src/stream/failpoint-dominance_neg.cc": """
 namespace crh {
 Status WriteGuarded(const std::string& path) {
   CRH_FAIL_POINT("selftest.open_write");
@@ -1994,14 +2072,24 @@ Status WriteGuarded(const std::string& path) {
   return OkStatus();
 }
 std::vector<std::string> SelfTestFailPointSites() {
-  return {"selftest.open_write", "selftest.orphan_reg"};
+  return {"selftest.open_write", "selftest.orphan_reg",
+          "selftest.journal_append"};
+}
+}
+""",
+    "src/stream/failpoint-dominance_pos2.cc": """
+namespace crh {
+Status TouchUnregistered() {
+  CRH_FAIL_POINT("selftest.unregistered_site");
+  std::FILE* f = std::fopen("x", "wb");
+  if (f == nullptr) return IOError("x");
+  return OkStatus();
 }
 }
 """,
     # --- failpoint-dominance, serving layer: a bare recv() (positive) vs
-    # hit-then-recv with the site registered (negative) — the socket calls
-    # the daemon makes are I/O and must be sweepable like file I/O.
-    "src/serve/socket_pos.cc": """
+    # hit-then-recv with the site registered (negative).
+    "src/serve/failpoint-dominance_pos3.cc": """
 namespace crh {
 Status ReadRequest(int fd) {
   char buffer[256];
@@ -2011,7 +2099,7 @@ Status ReadRequest(int fd) {
 }
 }
 """,
-    "src/serve/socket_neg.cc": """
+    "src/serve/failpoint-dominance_neg2.cc": """
 namespace crh {
 Status ReadRequestGuarded(int fd) {
   CRH_RETURN_NOT_OK(FailPoints::Instance().Hit("selftest.serve_recv"));
@@ -2025,16 +2113,6 @@ std::vector<std::string> SelfTestServeFailPointSites() {
 }
 }
 """,
-    "src/stream/io_unregistered.cc": """
-namespace crh {
-Status TouchUnregistered() {
-  CRH_FAIL_POINT("selftest.unregistered_site");
-  std::FILE* f = std::fopen("x", "wb");
-  if (f == nullptr) return IOError("x");
-  return OkStatus();
-}
-}
-""",
     # --- arch: a data-layer file includes a stream header (back-edge) and
     # a tools file grabs a private common header (leak); the negative twin
     # is a stream file reading data (strictly earlier layer).
@@ -2045,7 +2123,7 @@ namespace crh {
 int DataUsesStream() { return 1; }
 }
 """,
-    "src/tools/arch_private_pos.cc": """
+    "src/tools/arch_pos2.cc": """
 #include "common/mutex.h"
 namespace crh {
 int ToolsGrabsMutex() { return 2; }
@@ -2060,7 +2138,7 @@ int StreamReadsData() { return 3; }
 """,
     # --- global-state: bare mutable global + singleton static local
     # (positive) vs constants and exempted twins (negative).
-    "src/core/global_pos.cc": """
+    "src/core/global-state_pos.cc": """
 namespace crh {
 int g_iterations = 0;
 double Bump() {
@@ -2071,7 +2149,7 @@ double Bump() {
 }
 }
 """,
-    "src/core/global_neg.cc": """
+    "src/core/global-state_neg.cc": """
 namespace crh {
 constexpr int kMaxIters = 100;
 const double kTolerance = 1e-9;
@@ -2121,7 +2199,7 @@ CRH_HOT double HotDotProduct(const double* xs, const double* ys,
     # kernel that grows a std::vector per element allocates (positive); a
     # kernel that bump-carves from a preallocated arena is pointer
     # arithmetic only and must stay quiet (negative).
-    "src/core/hot_arena_pos.cc": """
+    "src/core/hot_pos2.cc": """
 namespace crh {
 CRH_HOT double HotGatherVector(const double* xs, size_t n,
                                std::vector<double>* scratch) {
@@ -2133,7 +2211,7 @@ CRH_HOT double HotGatherVector(const double* xs, size_t n,
 }
 }
 """,
-    "src/core/hot_arena_neg.cc": """
+    "src/core/hot_neg2.cc": """
 namespace crh {
 class MiniArena {
  public:
@@ -2157,7 +2235,7 @@ CRH_HOT double HotGatherArena(const double* xs, size_t n, MiniArena* arena) {
     # --- taint: a checkpoint count decoded from payload bytes sizes an
     # allocation unguarded (positive) vs the remaining-bytes guard and a
     # justified CRH_SANITIZED (negative).
-    "src/stream/ut_taint_pos.cc": """
+    "src/stream/taint_pos.cc": """
 namespace crh {
 Status LoadFrame(Cursor& cursor, std::vector<double>* out) {
   uint64_t count = 0;
@@ -2167,7 +2245,7 @@ Status LoadFrame(Cursor& cursor, std::vector<double>* out) {
 }
 }
 """,
-    "src/stream/ut_taint_neg.cc": """
+    "src/stream/taint_neg.cc": """
 namespace crh {
 Status LoadFrameGuarded(Cursor& cursor, std::vector<double>* out) {
   uint64_t count = 0;
@@ -2184,11 +2262,11 @@ Status LoadFrameSanitized(Cursor& cursor, std::vector<double>* out) {
 }
 }
 """,
-    # --- taint, interprocedural: a helper returns a decoded length
-    # unsanitized, so its caller's allocation in another TU fires
-    # (positive); the checked twin sanitizes before returning, killing the
-    # propagation (negative).
-    "src/serve/ut_flow_pos.cc": """
+    # --- taint, interprocedural: a helper (decode_len.cc) returns a
+    # decoded length unsanitized, so its caller's allocation in another TU
+    # fires (positive); the checked twin sanitizes before returning,
+    # killing the propagation (negative).
+    "src/serve/decode_len.cc": """
 namespace crh {
 uint64_t DecodeLen(Cursor& cursor) {
   uint64_t len = 0;
@@ -2197,7 +2275,7 @@ uint64_t DecodeLen(Cursor& cursor) {
 }
 }
 """,
-    "src/serve/ut_flow_caller_pos.cc": """
+    "src/serve/taint_pos2.cc": """
 namespace crh {
 void BuildReply(Cursor& cursor, std::string* out) {
   const uint64_t n = DecodeLen(cursor);
@@ -2205,7 +2283,7 @@ void BuildReply(Cursor& cursor, std::string* out) {
 }
 }
 """,
-    "src/serve/ut_flow_neg.cc": """
+    "src/serve/taint_neg2.cc": """
 namespace crh {
 uint64_t DecodeLenChecked(Cursor& cursor) {
   uint64_t len = 0;
@@ -2221,7 +2299,7 @@ void BuildReplyChecked(Cursor& cursor, std::string* out) {
 """,
     # --- taint, protocol surface: a JSON field drives a loop bound and an
     # index unguarded (positive) vs a size comparison first (negative).
-    "src/serve/ut_proto_pos.cc": """
+    "src/serve/taint_pos3.cc": """
 namespace crh {
 std::string DumpWeights(const JsonObject& request,
                         const std::vector<double>& weights) {
@@ -2234,7 +2312,7 @@ std::string DumpWeights(const JsonObject& request,
 }
 }
 """,
-    "src/serve/ut_proto_neg.cc": """
+    "src/serve/taint_neg3.cc": """
 namespace crh {
 std::string DumpWeightsChecked(const JsonObject& request,
                                const std::vector<double>& weights) {
@@ -2249,9 +2327,8 @@ std::string DumpWeightsChecked(const JsonObject& request,
 }
 """,
     # --- taint, escape-hatch misuse: CRH_SANITIZED on a value the
-    # analyzer never tainted must itself be a finding (the legitimate use
-    # lives in ut_taint_neg.cc above).
-    "src/serve/ut_sanitized_misuse_pos.cc": """
+    # analyzer never tainted must itself be a finding.
+    "src/serve/taint_pos4.cc": """
 namespace crh {
 size_t StampLimit(size_t configured_cap) {
   return CRH_SANITIZED(configured_cap, "cap comes from trusted config");
@@ -2261,7 +2338,7 @@ size_t StampLimit(size_t configured_cap) {
     # --- snapshot-lifetime: a view return, a member-stored raw pointer,
     # and a by-reference lambda capture all outlive the owning shared_ptr
     # (positive) vs value copies, pinning, and by-value capture (negative).
-    "src/serve/snap_pos.cc": """
+    "src/serve/snapshot-lifetime_pos.cc": """
 namespace crh {
 class LeakyViews {
  public:
@@ -2283,7 +2360,7 @@ class LeakyViews {
 };
 }
 """,
-    "src/serve/snap_neg.cc": """
+    "src/serve/snapshot-lifetime_neg.cc": """
 namespace crh {
 class SafeViews {
  public:
@@ -2307,134 +2384,48 @@ class SafeViews {
 }
 """,
 }
-
-# rule -> (file that must fire, file that must stay quiet)
-SELF_TEST_EXPECTATIONS = [
-    ("determinism-taint", "src/stream/taint_pos.cc", "src/stream/taint_neg.cc"),
-    ("status-path", "src/stream/status_pos.cc", "src/stream/status_neg.cc"),
-    ("lock-order", "src/stream/lock_pos.cc", "src/stream/lock_neg.cc"),
-    ("failpoint-dominance", "src/stream/io_pos.cc", "src/stream/io_neg.cc"),
-    ("failpoint-dominance", "src/stream/io_unregistered.cc",
-     "src/stream/io_neg.cc"),
-    ("failpoint-dominance", "src/serve/socket_pos.cc",
-     "src/serve/socket_neg.cc"),
-    ("arch", "src/data/arch_pos.cc", "src/stream/arch_neg.cc"),
-    ("arch", "src/tools/arch_private_pos.cc", "src/stream/arch_neg.cc"),
-    ("global-state", "src/core/global_pos.cc", "src/core/global_neg.cc"),
-    ("hot", "src/core/hot_pos.cc", "src/core/hot_neg.cc"),
-    ("hot", "src/core/hot_arena_pos.cc", "src/core/hot_arena_neg.cc"),
-    ("taint", "src/stream/ut_taint_pos.cc", "src/stream/ut_taint_neg.cc"),
-    ("taint", "src/serve/ut_flow_caller_pos.cc", "src/serve/ut_flow_neg.cc"),
-    ("taint", "src/serve/ut_proto_pos.cc", "src/serve/ut_proto_neg.cc"),
-    ("taint", "src/serve/ut_sanitized_misuse_pos.cc",
-     "src/stream/ut_taint_neg.cc"),
-    ("snapshot-lifetime", "src/serve/snap_pos.cc", "src/serve/snap_neg.cc"),
-]
+SELF_TEST_CASE_RE = re.compile(r"(.+)_(pos|neg)\d*$")
 
 
-def parse_check_arg(raw: str):
-    """Parses a --check=LIST value. Returns (checks, None) on success or
-    (None, one-line error naming every valid check) on an unknown name."""
-    checks = {c.strip() for c in raw.split(",") if c.strip()}
-    unknown = sorted(checks - set(ALL_CHECKS))
-    if unknown:
-        return None, (
-            f"crh_analyzer: unknown check(s): {', '.join(unknown)}; "
-            f"valid checks: {', '.join(sorted(ALL_CHECKS))}")
-    return checks, None
-
-
-def check_budget_file(path: str, timings: dict[str, float]) -> list[str]:
-    """Compares per-check wall times against the committed budget (ms).
-    A check with no budget entry, or one exceeding its budget by >50%,
-    is a failure message."""
-    try:
-        budgets = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"crh_analyzer: unreadable budget file {path}: {exc}"]
-    problems: list[str] = []
-    for name in sorted(timings):
-        ms = timings[name] * 1000.0
-        budget = budgets.get(name)
-        if not isinstance(budget, (int, float)):
-            problems.append(
-                f"crh_analyzer: check '{name}' has no committed wall-time "
-                f"budget in {path}; add one so CI tracks its cost")
-        elif ms > budget * 1.5:
-            problems.append(
-                f"crh_analyzer: check '{name}' took {ms:.0f}ms, more than "
-                f"1.5x its {budget:.0f}ms budget in {path}; speed the check "
-                "up or commit a justified new budget")
-    return problems
-
-
-def run_self_test(build_model, checks=None) -> list[str]:
-    import tempfile
-
+def run_self_test(checks=None) -> tuple[list[str], int]:
+    """Returns (failure descriptions, number of cases checked)."""
     failures: list[str] = []
-    # --check argument parsing is part of the gated surface: a typo must
-    # fail fast with the full valid-check list, and a valid list must
-    # survive whitespace.
+    # --check parsing is part of the gated surface: a typo must fail fast
+    # with the full valid-check list, and a valid list survives whitespace.
     ok_checks, err = parse_check_arg(" hot , arch ")
     if err is not None or ok_checks != {"hot", "arch"}:
         failures.append(f"parse_check_arg mangled a valid list: {err!r}")
     bad, err = parse_check_arg("definitely-not-a-check")
     if bad is not None or not err or "\n" in err \
             or "definitely-not-a-check" not in err \
-            or any(name not in err for name in ALL_CHECKS):
+            or any(name not in err for name in RULES):
         failures.append(
             "parse_check_arg must reject an unknown check with a one-line "
             f"error naming every valid check, got: {err!r}")
     with tempfile.TemporaryDirectory(prefix="crh_analyzer_selftest_") as tmp:
-        tmpdir = pathlib.Path(tmp)
-        files = []
+        root = pathlib.Path(tmp).resolve()
         for rel, code in SELF_TEST_FILES.items():
-            path = tmpdir / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(code)
-            files.append(path)
-        try:
-            model = build_model(sorted(files))
-            # The corpus lives outside the repo root; rewrite rels so the
-            # src/stream scoping applies.
-            for fn in model.functions:
-                fn.rel = str(pathlib.Path(fn.rel).resolve()
-                             .relative_to(tmpdir.resolve())) \
-                    if pathlib.Path(fn.rel).is_absolute() else fn.rel
-            for table in (model.includes, model.global_decls):
-                for key in list(table):
-                    p = pathlib.Path(key)
-                    if p.is_absolute():
-                        try:
-                            table[str(p.resolve().relative_to(
-                                tmpdir.resolve()))] = table.pop(key)
-                        except ValueError:
-                            pass
-            findings = run_checks(model, checks)
-        except Exception as exc:  # noqa: broad — any crash fails the gate
-            return [f"backend raised {exc!r}"]
-        by_file: dict[str, set[str]] = {}
-        for f in findings:
-            by_file.setdefault(f.path, set()).add(f.rule)
-        for rule, pos, neg in SELF_TEST_EXPECTATIONS:
-            if checks is not None and rule not in checks:
-                continue
-            if rule not in by_file.get(pos, set()):
-                failures.append(
-                    f"{rule}: expected a finding in {pos}, got "
-                    f"{sorted(by_file.get(pos, set())) or 'nothing'}")
-            if rule in by_file.get(neg, set()):
-                failures.append(
-                    f"{rule}: unexpected finding in negative case {neg}: "
-                    f"{[f.render() for f in findings if f.path == neg]}")
-    return failures
-
-
-def fix_selftest_rels(model: ProgramModel, tmpdir: pathlib.Path) -> None:
-    for fn in model.functions:
-        p = pathlib.Path(fn.rel)
-        if p.is_absolute() and p.is_relative_to(tmpdir):
-            fn.rel = str(p.relative_to(tmpdir))
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(code)
+        findings = run_checks(build_model(load_sources(root, [])), checks)
+    fired: dict[str, list[Finding]] = {}
+    for f in findings:
+        fired.setdefault(f.path, []).append(f)
+    cases = 0
+    for rel in SELF_TEST_FILES:
+        m = SELF_TEST_CASE_RE.match(pathlib.PurePosixPath(rel).stem)
+        if not m or (checks is not None and m.group(1) not in checks):
+            continue
+        cases += 1
+        rule, positive = m.group(1), m.group(2) == "pos"
+        hits = [f.render() for f in fired.get(rel, []) if f.rule == rule]
+        if positive and not hits:
+            failures.append(f"{rule}: expected a finding in {rel}, got "
+                            f"{[f.render() for f in fired.get(rel, [])]}")
+        elif not positive and hits:
+            failures.append(f"{rule}: unexpected finding in negative case "
+                            f"{rel}: {hits}")
+    return failures, cases
 
 
 # ---------------------------------------------------------------------------
@@ -2442,32 +2433,27 @@ def fix_selftest_rels(model: ProgramModel, tmpdir: pathlib.Path) -> None:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--backend", choices=["auto", "libclang", "token"],
-                        default="auto")
-    parser.add_argument("--compile-commands", default=None,
-                        help="path to compile_commands.json (default: "
-                             "build*/compile_commands.json)")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the embedded multi-TU corpus and exit")
+                        help="run the embedded corpus (every rule must fire "
+                             "on its positive cases and stay quiet on its "
+                             "negative ones) and exit")
     parser.add_argument("--check", default=None, metavar="LIST",
-                        help="comma-separated subset of checks to run "
-                             f"(default all: {','.join(ALL_CHECKS)})")
-    parser.add_argument("--graph", action="store_true",
-                        help="print the observed module dependency graph "
-                             "as Graphviz dot and exit")
+                        help="comma-separated subset of rules to run "
+                             f"(default all: {','.join(RULES)})")
     parser.add_argument("--graph-svg", default=None, metavar="OUT",
                         help="write the layer diagram as a deterministic "
                              "SVG (docs/architecture.svg) and exit")
     parser.add_argument("--sarif", default=None, metavar="OUT",
                         help="also write findings as SARIF 2.1.0")
     parser.add_argument("--stats", action="store_true",
-                        help="print model size and wall time (for the CI "
+                        help="print model size and wall times (for the CI "
                              "job summary)")
     parser.add_argument("--budget", default=None, metavar="JSON",
-                        help="per-check wall-time budget file "
-                             "(scripts/analyzer_budget.json); a check "
+                        help="per-rule wall-time budget file "
+                             "(scripts/analyzer_budget.json); a rule "
                              "exceeding its budget by >50%% fails the run")
-    parser.add_argument("--no-baseline", action="store_true")
+    parser.add_argument("--no-baseline", action="store_true",
+                        help="report every finding, ignoring the baseline")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline to the current finding "
                              "set (entries get TODO justifications)")
@@ -2481,84 +2467,39 @@ def main(argv: list[str]) -> int:
             print(err, file=sys.stderr)
             return 2
 
-    if opts.graph or opts.graph_svg:
-        cc = discover_compile_commands(opts.compile_commands)
-        files = iter_sources(opts.paths, cc)
+    if opts.self_test:
+        failures, cases = run_self_test(checks)
+        if failures:
+            print("crh_analyzer: self-test failed:", file=sys.stderr)
+            for f in failures:
+                print(f"  {f}", file=sys.stderr)
+            return 2
+        print(f"crh_analyzer: self-test OK ({cases} cases over "
+              f"{len(SELF_TEST_FILES)} files)")
+        return 0
+
+    t0 = time.monotonic()
+    sources = load_sources(REPO_ROOT, opts.paths)
+    if not sources:
+        print("crh_analyzer: no sources to analyze", file=sys.stderr)
+        return 2
+    if opts.graph_svg:
         try:
-            edges = collect_module_edges(files)
+            svg = render_module_svg(collect_module_edges(sources))
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             print(f"crh_analyzer: cannot load {ARCH_MANIFEST}: {exc}",
                   file=sys.stderr)
             return 2
-        if opts.graph:
-            sys.stdout.write(render_module_dot(edges))
-        if opts.graph_svg:
-            pathlib.Path(opts.graph_svg).write_text(render_module_svg(edges))
-            print(f"crh_analyzer: wrote {opts.graph_svg}", file=sys.stderr)
+        pathlib.Path(opts.graph_svg).write_text(svg)
+        print(f"crh_analyzer: wrote {opts.graph_svg}", file=sys.stderr)
         return 0
-
-    t0 = time.monotonic()
-    build_model = None
-    backend_name = opts.backend
-    if opts.backend in ("auto", "libclang"):
-        try:
-            from clang import cindex  # noqa: F401
-            build_model = build_model_libclang
-            backend_name = "libclang"
-        except Exception as exc:
-            if opts.backend == "libclang":
-                print(f"crh_analyzer: libclang backend unavailable: {exc}",
-                      file=sys.stderr)
-                return 2
-            build_model = build_model_token
-            backend_name = "token"
-    else:
-        build_model = build_model_token
-        backend_name = "token"
-
-    failures = run_self_test(build_model, checks)
-    if failures and backend_name == "libclang" and opts.backend == "auto":
-        print("crh_analyzer: libclang backend failed self-test, falling "
-              "back to the tokenizer frontend:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        build_model = build_model_token
-        backend_name = "token"
-        failures = run_self_test(build_model, checks)
-    if failures:
-        print(f"crh_analyzer: {backend_name} backend failed self-test:",
-              file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 2
-    if opts.self_test:
-        n_expect = len([e for e in SELF_TEST_EXPECTATIONS
-                        if checks is None or e[0] in checks])
-        print(f"crh_analyzer: self-test OK ({backend_name} backend, "
-              f"{n_expect} expectations over "
-              f"{len(SELF_TEST_FILES)} files)")
-        return 0
-
-    cc = discover_compile_commands(opts.compile_commands)
-    if opts.compile_commands and cc is None:
-        print(f"crh_analyzer: {opts.compile_commands} not found",
-              file=sys.stderr)
-        return 2
-    files = iter_sources(opts.paths, cc)
-    if not files:
-        print("crh_analyzer: no sources to analyze", file=sys.stderr)
-        return 2
-    model = build_model(files)
+    model = build_model(sources)
     timings: dict[str, float] = {}
     findings = run_checks(model, checks, timings)
     elapsed = time.monotonic() - t0
 
     if opts.sarif:
-        sarif_util.write_sarif(
-            opts.sarif, "crh_analyzer",
-            "https://github.com/crh/crh/blob/main/docs/TOOLING.md",
-            findings, RULE_DOCS)
-
+        write_sarif(opts.sarif, findings)
     if opts.update_baseline:
         write_baseline(findings)
         print(f"crh_analyzer: baseline rewritten with "
@@ -2570,34 +2511,32 @@ def main(argv: list[str]) -> int:
     new = [f for f in findings if f.key() not in baseline]
     stale = baseline - {f.key() for f in findings}
     if checks is not None:
-        # A subset run cannot see findings of the unselected checks, so it
+        # A subset run cannot see findings of the unselected rules, so it
         # must not judge their baseline entries stale.
         stale = {e for e in stale if any(f"[{c}]" in e for c in checks)}
 
     for f in new:
         print(f.render())
     if opts.stats:
-        print(f"crh_analyzer: {backend_name} backend, {len(files)} files, "
+        modeled = sum(s.rel.startswith(MODEL_DIRS) for s in sources)
+        print(f"crh_analyzer: {len(sources)} files ({modeled} modeled), "
               f"{len(model.functions)} functions, "
               f"{sum(len(fn.calls) for fn in model.functions)} call edges, "
-              f"{elapsed:.2f}s"
-              + (f", compile_commands={rel_str(cc)}" if cc else
-                 ", no compile_commands (tree scan)"))
+              f"{elapsed:.2f}s")
         if timings:
-            per_check = ", ".join(f"{name} {timings[name] * 1000:.0f}ms"
-                                  for name in timings)
-            print(f"crh_analyzer: check wall-times: {per_check}")
+            print("crh_analyzer: check wall-times: " + ", ".join(
+                f"{name} {timings[name] * 1000:.0f}ms" for name in timings))
     budget_problems = check_budget_file(opts.budget, timings) \
         if opts.budget else []
     for msg in budget_problems:
         print(msg, file=sys.stderr)
     if new:
-        print(f"\ncrh_analyzer ({backend_name}): {len(new)} finding(s) not "
-              f"in {BASELINE.name}.", file=sys.stderr)
+        print(f"\ncrh_analyzer: {len(new)} finding(s) not in "
+              f"{BASELINE.name}.", file=sys.stderr)
         return 1
     if stale and not opts.paths:
-        # Full-tree runs keep the baseline honest; path-scoped runs cannot
-        # see every finding, so only tree runs judge staleness.
+        # Path-scoped runs cannot see every finding, so only tree runs
+        # judge staleness.
         for entry in sorted(stale):
             print(f"crh_analyzer: baselined finding no longer present: "
                   f"{entry}", file=sys.stderr)
@@ -2606,7 +2545,7 @@ def main(argv: list[str]) -> int:
         return 1
     if budget_problems:
         return 1
-    print(f"crh_analyzer ({backend_name}): clean ({len(files)} files, "
+    print(f"crh_analyzer: clean ({len(sources)} files, "
           f"{len(model.functions)} functions).")
     return 0
 

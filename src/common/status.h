@@ -37,11 +37,11 @@ const char* StatusCodeToString(StatusCode code);
 ///
 ///   if (n < 0) return Status::InvalidArgument("n must be non-negative");
 ///
-/// The class itself is [[nodiscard]]: any call returning a Status whose
-/// result is ignored fails to compile under -Werror (GCC and Clang both
-/// warn on a discarded nodiscard class type). A deliberate drop must be
-/// spelled `(void)` and carries a lint:allow (scripts/lint.py,
-/// unchecked-status).
+/// The class itself is [[nodiscard]]: a bare drop of a Status (or a Result)
+/// fails to compile under -Werror, since GCC and Clang both warn on a
+/// discarded nodiscard class type. A `(void)` cast is the visible opt-out
+/// for a Status the caller cannot act on. A Result also carries a value, so
+/// scripts/crh_analyzer.py (status-path) flags a `(void)` cast of one.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -254,7 +254,7 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
   // Materializes cache.truths as a dense table by *probing* the map in
   // entry order — never iterating it — so the table fill order (and with it
   // any downstream serialization) is independent of hash-bucket layout
-  // (ast_lint, unordered-iteration).
+  // (scripts/crh_analyzer.py, unordered-iteration).
   const auto cache_truth_table = [&]() {
     ValueTable table(data.num_objects(), data.num_properties());
     for (size_t i = 0; i < data.num_objects(); ++i) {

@@ -190,7 +190,13 @@ Result<Schema> ParseSchemaSpec(const std::string& spec) {
                                      "' (want name:type[:unit])");
     }
     if (parts[1] == "continuous") {
-      const double unit = parts.size() == 3 ? std::atof(parts[2].c_str()) : 0.0;
+      double unit = 0.0;
+      if (parts.size() == 3) {
+        auto parsed = ParseNumericFlag("unit of '" + parts[0] + "'", parts[2], 0.0,
+                                       std::numeric_limits<double>::max());
+        if (!parsed.ok()) return parsed.status();
+        unit = *parsed;
+      }
       CRH_RETURN_NOT_OK(schema.AddContinuous(parts[0], unit));
     } else if (parts[1] == "categorical") {
       if (parts.size() == 3) {
@@ -224,7 +230,11 @@ Status AttachSuffixTimestamps(Dataset* data) {
       return Status::InvalidArgument("icrh requires object ids ending in _t<number>; got '" +
                                      id + "'");
     }
-    timestamps[i] = std::atoll(id.c_str() + pos + 2);
+    auto timestamp = ParseNumericFlag("timestamp suffix of object id '" + id + "'",
+                                      id.substr(pos + 2), std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::max());
+    if (!timestamp.ok()) return timestamp.status();
+    timestamps[i] = *timestamp;
   }
   return data->set_timestamps(std::move(timestamps));
 }

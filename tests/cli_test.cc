@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -153,6 +154,27 @@ TEST(SchemaSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseSchemaSpec("x:text:1").ok());          // unit on text
   EXPECT_FALSE(ParseSchemaSpec(":continuous").ok());       // empty name
   EXPECT_FALSE(ParseSchemaSpec("x:continuous,x:text").ok());  // duplicate
+  // A unit must be one whole number in [0, max double]; anything else is an
+  // error naming the property, not a silent unit of 0.
+  for (const char* unit : {"abc", "1x", " 1", "+1", "-1", "0x10", "nan", "inf", "1e400"}) {
+    auto schema = ParseSchemaSpec(std::string("temp:continuous:") + unit);
+    ASSERT_FALSE(schema.ok()) << unit;
+    EXPECT_NE(schema.status().message().find("unit of 'temp'"), std::string::npos) << unit;
+  }
+}
+
+TEST(SchemaSpecTest, RoundTripsPrintedUnits) {
+  // perfbench and crh_serve clients print units with %.17g. Each must parse
+  // back to the identical double, and to what std::atof made of it, so the
+  // checkpoint fingerprint (which hashes the unit) does not change.
+  for (const double unit : {0.0, 0.1, 0.01, 1e-05, 0.5, 1.0 / 3.0, 10000.0, 1e300}) {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%.17g", unit);
+    auto schema = ParseSchemaSpec(std::string("temp:continuous:") + text + ",cond:categorical");
+    ASSERT_TRUE(schema.ok()) << text << ": " << schema.status().ToString();
+    EXPECT_EQ(schema->property(0).rounding_unit, unit) << text;
+    EXPECT_EQ(schema->property(0).rounding_unit, std::atof(text)) << text;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -302,6 +324,31 @@ TEST_F(CliEndToEnd, IcrhRequiresTimestampSuffix) {
   std::ostringstream out;
   EXPECT_FALSE(RunCli(options, out).ok());
   std::remove(bad_path.c_str());
+}
+
+TEST_F(CliEndToEnd, IcrhRejectsMalformedTimestampSuffix) {
+  // "rec7_t2" becomes "rec7_tx2" (not a number) or "rec7_t999...92" (past
+  // int64): either is an error naming the object, not a silent timestamp 0.
+  for (const std::string insert : {"x", "99999999999999999999"}) {
+    const std::string bad_path = testing::TempDir() + "/cli_bad_suffix.csv";
+    std::ifstream in(obs_path_);
+    std::ofstream bad(bad_path);
+    std::string line;
+    std::getline(in, line);
+    bad << line << "\n";
+    while (std::getline(in, line)) bad << line.insert(line.find("_t") + 2, insert) << "\n";
+    bad.close();
+    CliOptions options;
+    options.schema_spec = schema_spec_;
+    options.input_path = bad_path;
+    options.algorithm = "icrh";
+    std::ostringstream out;
+    const Status status = RunCli(options, out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << insert;
+    EXPECT_NE(status.message().find("timestamp suffix of object id 'rec"), std::string::npos)
+        << status.ToString();
+    std::remove(bad_path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
