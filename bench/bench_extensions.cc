@@ -9,7 +9,9 @@
 ///     violated (Section 2.5);
 ///  4. text properties with edit-distance losses (Section 2.4).
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -247,10 +249,13 @@ int main() {
     const auto mean_edit = [&](const Dataset& data, const ValueTable& truths) {
       double total = 0;
       size_t count = 0;
+      EditDistanceScratch edit;
       for (size_t i = 0; i < n; ++i) {
         const Value& est = truths.Get(i, 0);
         if (est.is_missing()) continue;
-        total += NormalizedEditDistance(data.dict(0).label(est.category()), names[i]);
+        const std::string& fused = data.dict(0).label(est.category());
+        edit.Reserve(std::max(fused.size(), names[i].size()));
+        total += NormalizedEditDistanceSpan(fused, names[i], edit);
         ++count;
       }
       return total / static_cast<double>(count);

@@ -30,8 +30,10 @@ void BM_WeightedMedian(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const std::vector<double> values = RandomValues(n, 1);
   const std::vector<double> weights = RandomValues(n, 2);
+  ResolverScratch scratch;
+  scratch.Reserve(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(WeightedMedian(values, weights));
+    benchmark::DoNotOptimize(WeightedMedianSpan(values.data(), weights.data(), n, scratch));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -42,7 +44,7 @@ void BM_WeightedMean(benchmark::State& state) {
   const std::vector<double> values = RandomValues(n, 1);
   const std::vector<double> weights = RandomValues(n, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(WeightedMean(values, weights));
+    benchmark::DoNotOptimize(WeightedMeanSpan(values.data(), weights.data(), n));
   }
 }
 BENCHMARK(BM_WeightedMean)->Range(8, 8 << 10);
@@ -50,14 +52,16 @@ BENCHMARK(BM_WeightedMean)->Range(8, 8 << 10);
 void BM_WeightedVote(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(3);
-  std::vector<Value> values;
+  std::vector<CategoryId> labels;
   std::vector<double> weights;
   for (size_t i = 0; i < n; ++i) {
-    values.push_back(Value::Categorical(static_cast<CategoryId>(rng.UniformInt(0, 9))));
+    labels.push_back(static_cast<CategoryId>(rng.UniformInt(0, 9)));
     weights.push_back(rng.Uniform(0, 1));
   }
+  ResolverScratch scratch;
+  scratch.Reserve(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(WeightedVote(values, weights));
+    benchmark::DoNotOptimize(WeightedVoteLabelsSpan(labels.data(), weights.data(), n, scratch));
   }
 }
 BENCHMARK(BM_WeightedVote)->Range(8, 8 << 10);
@@ -74,7 +78,7 @@ void BM_ProbVectorLoss(benchmark::State& state) {
   const size_t labels = static_cast<size_t>(state.range(0));
   std::vector<double> dist(labels, 1.0 / static_cast<double>(labels));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ProbVectorSquaredLoss(dist, 0));
+    benchmark::DoNotOptimize(ProbVectorSquaredLoss(dist.data(), labels, 0));
   }
 }
 BENCHMARK(BM_ProbVectorLoss)->Range(2, 256);

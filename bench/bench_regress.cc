@@ -5,8 +5,8 @@
 /// 20%):
 ///
 ///  * the truth-update and deviation passes, claim-major (ClaimIndex) vs a
-///    dense K-scan reference kernel (the pre-index implementation, kept
-///    here as the regression baseline) — ns/claim and speedup; the sparse
+///    dense K-scan reference kernel (the pre-index data access, kept here
+///    as the regression baseline) — ns/claim and speedup; the sparse
 ///    passes reuse a SolverWorkspace, so their steady-state allocation
 ///    count (the last repetition's) is expected to be zero;
 ///  * the weight-update pass (ComputeSourceWeights over the aggregated
@@ -42,11 +42,13 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "losses/resolvers.h"
+#include "core/crh.h"
 #include "data/claim_index.h"
 #include "data/stats.h"
 #include "datagen/noise.h"
 #include "datagen/uci_like.h"
+#include "losses/loss.h"
+#include "losses/resolvers.h"
 #include "losses/text_distance.h"
 
 // The replacement operator new below returns malloc'd memory, which the
@@ -84,116 +86,89 @@ namespace crh::bench {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Dense reference kernels: the pre-ClaimIndex implementation (a K-scan per
-// entry), preserved verbatim as the baseline the sparse path must beat.
-
-void DenseGatherClaims(const Dataset& data, size_t i, size_t m, std::vector<Value>* values,
-                       std::vector<double>* weights, const std::vector<double>& w) {
-  values->clear();
-  weights->clear();
-  for (size_t k = 0; k < data.num_sources(); ++k) {
-    const Value& v = data.observations(k).Get(i, m);
-    if (v.is_missing()) continue;
-    values->push_back(v);
-    weights->push_back(w[k]);
-  }
-}
+// Dense reference kernels: the pre-ClaimIndex data access (a K-scan per
+// entry), kept as the baseline the sparse path must beat. The scan gathers
+// each entry's claims into the lanes the index hands the solver, and the
+// claims are then resolved and scored by the solver's own steps
+// (ResolveHardTruth, the losses/loss.h losses, NormalizeLossMatrix), so the
+// dense<->sparse bit-identity check below checks the gather against the
+// index.
 
 ValueTable DenseTruthPass(const Dataset& data, const std::vector<double>& weights,
                           const CrhOptions& options) {
+  const size_t k_sources = data.num_sources();
   ValueTable truths(data.num_objects(), data.num_properties());
-  std::vector<Value> claim_values;
-  std::vector<double> claim_weights;
-  std::vector<double> cont_values;
+  std::vector<double> numeric(k_sources);
+  std::vector<CategoryId> labels(k_sources);
+  std::vector<double> claim_weights(k_sources);
+  ResolverScratch scratch;
+  scratch.Reserve(k_sources);
+  EditDistanceScratch edit;
+  edit.Reserve(data.MaxTextLabelLength());
   for (size_t m = 0; m < data.num_properties(); ++m) {
-    const PropertyType type = data.schema().property(m).type;
-    const auto text_distance = [&data, m](const Value& a, const Value& b) {
-      return NormalizedEditDistance(data.dict(m).label(a.category()),
-                                    data.dict(m).label(b.category()));
-    };
     for (size_t i = 0; i < data.num_objects(); ++i) {
-      DenseGatherClaims(data, i, m, &claim_values, &claim_weights, weights);
-      if (claim_values.empty()) {
-        truths.Set(i, m, Value::Missing());
-        continue;
+      ClaimSpan span;
+      span.numeric = numeric.data();
+      span.labels = labels.data();
+      for (size_t k = 0; k < k_sources; ++k) {
+        const Value& v = data.observations(k).Get(i, m);
+        if (v.is_missing()) continue;
+        if (v.is_continuous()) {
+          numeric[span.size] = v.continuous();
+        } else {
+          labels[span.size] = v.category();
+        }
+        claim_weights[span.size++] = weights[k];
       }
-      if (type == PropertyType::kText) {
-        truths.Set(i, m, WeightedMedoid(claim_values, claim_weights, text_distance));
-      } else if (type == PropertyType::kCategorical) {
-        truths.Set(i, m, WeightedVote(claim_values, claim_weights));
-      } else {
-        cont_values.clear();
-        for (const Value& v : claim_values) cont_values.push_back(v.continuous());
-        truths.Set(i, m, Value::Continuous(options.continuous_model == ContinuousModel::kMedian
-                                               ? WeightedMedian(cont_values, claim_weights)
-                                               : WeightedMean(cont_values, claim_weights)));
-      }
+      truths.Set(i, m,
+                 span.empty() ? Value::Missing()
+                              : ResolveHardTruth(data, m, options.continuous_model, span,
+                                                 claim_weights.data(), scratch, edit));
     }
   }
   return truths;
 }
 
 double DenseClaimLoss(const Dataset& data, const ValueTable& truths, const EntryStats& stats,
-                      const CrhOptions& options, size_t i, size_t m, const Value& obs) {
+                      const CrhOptions& options, size_t i, size_t m, const Value& obs,
+                      EditDistanceScratch& edit) {
   const PropertyType type = data.schema().property(m).type;
+  const Value& truth = truths.Get(i, m);
   if (type == PropertyType::kText) {
-    const Value& truth = truths.Get(i, m);
-    return NormalizedEditDistance(data.dict(m).label(truth.category()),
-                                  data.dict(m).label(obs.category()));
+    return NormalizedEditDistanceSpan(data.dict(m).label(truth.category()),
+                                      data.dict(m).label(obs.category()), edit);
   }
-  if (type == PropertyType::kCategorical) {
-    return truths.Get(i, m) == obs ? 0.0 : 1.0;
-  }
-  const double diff = truths.Get(i, m).continuous() - obs.continuous();
+  if (type == PropertyType::kCategorical) return ZeroOneLoss(truth.category(), obs.category());
   const double scale = stats.scale_at(i, m);
   if (options.continuous_model == ContinuousModel::kMedian) {
-    return (diff < 0 ? -diff : diff) / scale;
+    return NormalizedAbsoluteLoss(truth.continuous(), obs.continuous(), scale);
   }
-  return diff * diff / scale;
+  return NormalizedSquaredLoss(truth.continuous(), obs.continuous(), scale);
 }
 
 std::vector<double> DenseDeviationPass(const Dataset& data, const ValueTable& truths,
                                        const EntryStats& stats, const CrhOptions& options) {
   const size_t k_sources = data.num_sources();
   const size_t m_props = data.num_properties();
-  std::vector<std::vector<double>> loss(k_sources, std::vector<double>(m_props, 0.0));
-  std::vector<std::vector<size_t>> count(k_sources, std::vector<size_t>(m_props, 0));
+  std::vector<double> loss(k_sources * m_props, 0.0);
+  std::vector<size_t> count(k_sources * m_props, 0);
+  EditDistanceScratch edit;
+  edit.Reserve(data.MaxTextLabelLength());
   for (size_t k = 0; k < k_sources; ++k) {
     const ValueTable& table = data.observations(k);
     for (size_t i = 0; i < data.num_objects(); ++i) {
       for (size_t m = 0; m < m_props; ++m) {
         const Value& obs = table.Get(i, m);
         if (obs.is_missing() || truths.Get(i, m).is_missing()) continue;
-        loss[k][m] += DenseClaimLoss(data, truths, stats, options, i, m, obs);
-        ++count[k][m];
+        loss[k * m_props + m] += DenseClaimLoss(data, truths, stats, options, i, m, obs, edit);
+        ++count[k * m_props + m];
       }
     }
   }
-  if (options.normalize_by_observation_count) {
-    for (size_t k = 0; k < k_sources; ++k) {
-      for (size_t m = 0; m < m_props; ++m) {
-        if (count[k][m] > 0) loss[k][m] /= static_cast<double>(count[k][m]);
-      }
-    }
-  }
-  if (options.property_normalization != PropertyLossNormalization::kNone) {
-    for (size_t m = 0; m < m_props; ++m) {
-      double norm = 0.0;
-      for (size_t k = 0; k < k_sources; ++k) {
-        if (options.property_normalization == PropertyLossNormalization::kSum) {
-          norm += loss[k][m];
-        } else {
-          norm = std::max(norm, loss[k][m]);
-        }
-      }
-      if (norm > 0) {
-        for (size_t k = 0; k < k_sources; ++k) loss[k][m] /= norm;
-      }
-    }
-  }
+  NormalizeLossMatrix(options, k_sources, m_props, count.data(), loss.data());
   std::vector<double> totals(k_sources, 0.0);
   for (size_t k = 0; k < k_sources; ++k) {
-    for (size_t m = 0; m < m_props; ++m) totals[k] += loss[k][m];
+    for (size_t m = 0; m < m_props; ++m) totals[k] += loss[k * m_props + m];
   }
   return totals;
 }

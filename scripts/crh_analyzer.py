@@ -188,6 +188,8 @@ FUNCTION_OBJ_RE = re.compile(
     r"std::function\s*<[^;]*?>\s*[*&]?\s*[*&]?(\w+)\s*[;,)=]")
 # `(*callback)(...)`: a call through a dereferenced function object.
 DEREF_CALL_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
+# Statements that leave the enclosing block's function or loop.
+EXIT_RE = re.compile(r"\b(?:return|break|continue|throw)\b")
 
 # --- failpoint-dominance ----------------------------------------------------
 # Where durable I/O lives, and the serving layer's socket surface.
@@ -647,17 +649,38 @@ def lock_id(name: str, qual_name: str, rel: str) -> str:
     return f"{qual_name}::{base}"
 
 
+def starts_statement(lines: list[str], lineno: int, col: int) -> bool:
+    """True if the token at (lineno, col) begins a statement: only `{`, `;`,
+    `}` or a label's `:` precede it. A braceless `if (x) return;` is a
+    conditional exit, not a block's own."""
+    before = lines[lineno - 1][:col].rstrip()
+    if before:
+        return before[-1] in "{;}:"
+    for prev in range(lineno - 1, 0, -1):
+        text = lines[prev - 1].strip()
+        if text:
+            return text[-1] in "{;}:"
+    return True
+
+
 def extract_body(fn: FunctionModel, src: Source,
                  function_objs: set[str]) -> None:
-    """Populates a FunctionModel's event lists from its line span."""
+    """Populates a FunctionModel's event lists from its line span. Braces
+    are walked in column order with the events, so a manual `Unlock()`
+    knows the block it sits in: inside a nested block that then leaves the
+    function or loop (`if (done) { mu_.Unlock(); return; }`), it releases
+    the lock only until that block closes."""
     depth = 0
     scoped_locks: list[tuple[int, str]] = []
     manual_locks: set[str] = set()
+    # [block depth, lock, block exits after the unlock] per nested Unlock().
+    early_unlocks: list[list] = []
     local_function_objs = set(function_objs)
     for lineno in range(fn.start_line, min(fn.end_line, len(src.lines)) + 1):
         line = src.lines[lineno - 1]
         raw_line = src.raw_lines[lineno - 1]
         allow = src.allow.get(lineno, set())
+        line_depth = depth
 
         declared_objs = {m.group(1) for m in FUNCTION_OBJ_RE.finditer(line)}
         local_function_objs |= declared_objs
@@ -761,22 +784,46 @@ def extract_body(fn: FunctionModel, src: Source,
         for m in DEREF_CALL_RE.finditer(line):
             if m.group(1) in local_function_objs:
                 events.append((m.start(), "call", m.group(1)))
+        for m in re.finditer(r"[{}]", line):
+            events.append((m.start(), m.group(0), None))
+        for m in EXIT_RE.finditer(line):
+            if starts_statement(src.lines, lineno, m.start()):
+                events.append((m.start(), "exit", None))
         # A declaration is not an invocation.
         events = sorted((e for e in events
                          if not (e[1] == "call" and e[2] in declared_objs)),
                         key=lambda e: e[0])
         allow_lock = "lock-order" in allow
         for _, ekind, val in events:
+            if ekind == "{":
+                depth += 1
+                continue
+            if ekind == "}":
+                depth -= 1
+                scoped_locks = [(d, n) for (d, n) in scoped_locks
+                                if d < depth]
+                for entry in [e for e in early_unlocks if e[0] > depth]:
+                    early_unlocks.remove(entry)
+                    if entry[2]:
+                        manual_locks.add(entry[1])
+                continue
+            if ekind == "exit":
+                for entry in early_unlocks:
+                    if entry[0] == depth:
+                        entry[2] = True
+                continue
             held = frozenset(n for _, n in scoped_locks) | manual_locks
             if ekind in ("scoped_lock", "manual_lock"):
                 if not allow_lock:
                     fn.lock_acquires.append((lineno, val, tuple(sorted(held))))
                 if ekind == "scoped_lock":
-                    scoped_locks.append((depth, val))
+                    scoped_locks.append((line_depth, val))
                 else:
                     manual_locks.add(val)
             elif ekind == "manual_unlock":
                 manual_locks.discard(val)
+                if depth > 1:
+                    early_unlocks.append([depth, val, False])
             elif ekind == "failpoint":
                 if held and not allow_lock:
                     fn.failpoints_held.append((lineno, held))
@@ -784,13 +831,6 @@ def extract_body(fn: FunctionModel, src: Source,
                 fn.callback_invokes.append((lineno, val, held))
             else:
                 fn.calls.append((lineno, val, held))
-
-        for ch in line:
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                scoped_locks = [(d, n) for (d, n) in scoped_locks if d < depth]
 
 
 def last_call_arg(argtext: str) -> str:
@@ -2050,6 +2090,48 @@ Status Journal::AppendGuarded() {
   CRH_FAIL_POINT("selftest.journal_append");
   MutexLock lock(&mu_);
   return OkStatus();
+}
+""",
+    # --- lock-order, manual Lock()/Unlock() with an early exit: the
+    # unlock on the shutdown branch releases mu_ only until that branch
+    # returns, so a job callback invoked later in the loop still runs under
+    # mu_ (positive) unless the loop drops mu_ around it (negative).
+    "src/stream/lock-order_pos4.cc": """
+#include <functional>
+namespace crh {
+void WorkerPool::HelperLoop(size_t worker) {
+  mu_.Lock();
+  for (;;) {
+    while (!shutdown_ && generation_ == seen_) work_cv_.Wait(&mu_);
+    if (shutdown_) {
+      mu_.Unlock();
+      return;
+    }
+    const std::function<void(size_t)>* fn = job_fn_;
+    for (size_t index = worker; index < count_; index += workers_) (*fn)(index);
+    ++finished_;
+  }
+}
+}
+""",
+    "src/stream/lock-order_neg4.cc": """
+#include <functional>
+namespace crh {
+void WorkerPool::HelperLoop(size_t worker) {
+  mu_.Lock();
+  for (;;) {
+    while (!shutdown_ && generation_ == seen_) work_cv_.Wait(&mu_);
+    if (shutdown_) {
+      mu_.Unlock();
+      return;
+    }
+    const std::function<void(size_t)>* fn = job_fn_;
+    mu_.Unlock();
+    for (size_t index = worker; index < count_; index += workers_) (*fn)(index);
+    mu_.Lock();
+    ++finished_;
+  }
+}
 }
 """,
     # --- failpoint-dominance: bare fopen (positive) vs hit-then-open with

@@ -41,7 +41,8 @@ void ThreadPool::HelperLoop(size_t worker) {
     const size_t count = job_count_;
     const std::function<void(size_t)>* fn = job_fn_;
     // The job body runs unlocked: holding mu_ across user callables would
-    // serialize the pool and deadlock any callable touching the registry.
+    // serialize the pool and deadlock any callable touching the registry
+    // (scripts/crh_analyzer.py's lock-order rule enforces this shape).
     mu_.Unlock();
     for (size_t index = worker; index < count; index += num_workers_) (*fn)(index);
     mu_.Lock();

@@ -141,14 +141,7 @@ void EnsureSolverScratch(const Dataset& data, const ClaimIndex& index,
   scratch->num_shards = num_shards;
 
   const size_t max_claims = index.max_span_size();
-  size_t max_label_len = 0;
-  for (size_t m = 0; m < m_props; ++m) {
-    if (data.schema().property(m).type != PropertyType::kText) continue;
-    const CategoryDict& dict = data.dict(m);
-    for (size_t id = 0; id < dict.size(); ++id) {
-      max_label_len = std::max(max_label_len, dict.label(static_cast<CategoryId>(id)).size());
-    }
-  }
+  const size_t max_label_len = data.MaxTextLabelLength();
 
   const size_t cells = k_sources * m_props;
   size_t bytes = 0;
@@ -211,17 +204,75 @@ std::vector<size_t> BuildPropertyGroups(const Schema& schema, WeightGranularity 
   return group;
 }
 
+}  // namespace
+
+// --- Shared CRH steps (declared in crh.h) -------------------------------------
+//
+// The only definitions of the per-entry truth update and the loss-matrix
+// normalization; RunParallelCrh's truth reducer and weight-job wrapper call
+// them too.
+
+CRH_HOT Value ResolveHardTruth(const Dataset& data, size_t m, ContinuousModel continuous_model,
+                               const ClaimSpan& span, const double* claim_weights,
+                               ResolverScratch& scratch, EditDistanceScratch& edit) {
+  CRH_DCHECK(!span.empty());
+  const PropertyType type = data.schema().property(m).type;
+  if (type == PropertyType::kText) {
+    // Text truths: the claim minimizing the weighted total normalized
+    // edit distance to all claims (the medoid induced by the text loss).
+    const CategoryDict& dict = data.dict(m);
+    return Value::Categorical(WeightedMedoidLabelsSpan(
+        span.labels, claim_weights, span.size, scratch,
+        [&dict, &edit](CategoryId a, CategoryId b) {
+          return NormalizedEditDistanceSpan(dict.label(a), dict.label(b), edit);
+        }));
+  }
+  if (type == PropertyType::kCategorical) {
+    return Value::Categorical(
+        WeightedVoteLabelsSpan(span.labels, claim_weights, span.size, scratch));
+  }
+  if (continuous_model == ContinuousModel::kMedian) {
+    return Value::Continuous(WeightedMedianSpan(span.numeric, claim_weights, span.size, scratch));
+  }
+  double truth = WeightedMeanSpan(span.numeric, claim_weights, span.size);
+  // Zero total weight: null weights select the uniform median.
+  if (std::isnan(truth)) truth = WeightedMedianSpan(span.numeric, nullptr, span.size, scratch);
+  return Value::Continuous(truth);
+}
+
+void NormalizeLossMatrix(const CrhOptions& options, size_t k_sources, size_t m_props,
+                         const size_t* count, double* loss) {
+  if (options.normalize_by_observation_count) {
+    for (size_t cell = 0; cell < k_sources * m_props; ++cell) {
+      if (count[cell] > 0) loss[cell] /= static_cast<double>(count[cell]);
+    }
+  }
+  if (options.property_normalization == PropertyLossNormalization::kNone) return;
+  for (size_t m = 0; m < m_props; ++m) {
+    double norm = 0.0;
+    for (size_t k = 0; k < k_sources; ++k) {
+      if (options.property_normalization == PropertyLossNormalization::kSum) {
+        norm += loss[k * m_props + m];
+      } else {
+        norm = std::max(norm, loss[k * m_props + m]);
+      }
+    }
+    if (norm > 0) {
+      for (size_t k = 0; k < k_sources; ++k) loss[k * m_props + m] /= norm;
+    }
+  }
+}
+
+namespace {
+
 // --- CRH_HOT shard kernels ---------------------------------------------------
 
-/// Truth update (Eq 3) of one entry, resolved through the span primitives
-/// over the index's SoA lanes against caller-owned scratch. Bit-identical
-/// to the allocating resolvers it replaced (same candidate order,
-/// association order and tie-breaks); the label/numeric lane kernels are
-/// in turn bit-identical to the Value-gathering forms they replaced (see
-/// losses/resolvers.h). \p soft / \p num_labels may be null when no
-/// property has the soft model active.
-CRH_HOT void ResolveEntryTruth(const Dataset& data, const std::vector<PropertyType>& types,
-                               const std::vector<char>& soft_active,
+/// Truth update (Eq 3) of one entry: supervised entries are clamped to
+/// their labels, soft-model entries resolve the Eq-12 distribution and its
+/// mode, and every other entry goes through ResolveHardTruth over the
+/// index's SoA lanes. \p soft / \p num_labels may be null when no property
+/// has the soft model active.
+CRH_HOT void ResolveEntryTruth(const Dataset& data, const std::vector<char>& soft_active,
                                const std::vector<const std::vector<double>*>& weights_for,
                                const CrhOptions& options, size_t i, size_t m,
                                const ClaimSpan& span, EntryScratch& scratch, ValueTable* truths,
@@ -242,46 +293,20 @@ CRH_HOT void ResolveEntryTruth(const Dataset& data, const std::vector<PropertyTy
   double* claim_weights = scratch.claim_weights;
   for (size_t c = 0; c < span.size; ++c) claim_weights[c] = weights[span.sources[c]];
 
-  if (types[m] == PropertyType::kText) {
-    // Text truths: the claim minimizing the weighted total normalized
-    // edit distance to all claims (the medoid induced by the text loss).
-    const CategoryDict& dict = data.dict(m);
-    EditDistanceScratch& edit = scratch.edit;
-    truths->Set(i, m,
-                Value::Categorical(WeightedMedoidLabelsSpan(
-                    span.labels, claim_weights, span.size, scratch.resolver,
-                    [&dict, &edit](CategoryId a, CategoryId b) {
-                      return NormalizedEditDistanceSpan(dict.label(a), dict.label(b), edit);
-                    })));
-  } else if (types[m] == PropertyType::kCategorical) {
-    if (soft_active[m]) {
-      const size_t l_m = (*num_labels)[m];
-      double* dist = (*soft)[m].data() + i * l_m;
-      WeightedLabelDistributionSpan(span.labels, claim_weights, span.size, dist, l_m);
-      truths->Set(i, m, Value::Categorical(static_cast<CategoryId>(ArgMaxSpan(dist, l_m))));
-    } else {
-      truths->Set(i, m, Value::Categorical(WeightedVoteLabelsSpan(span.labels, claim_weights,
-                                                                  span.size, scratch.resolver)));
-    }
-  } else {
-    double truth;
-    if (options.continuous_model == ContinuousModel::kMedian) {
-      truth = WeightedMedianSpan(span.numeric, claim_weights, span.size, scratch.resolver);
-    } else {
-      truth = WeightedMeanSpan(span.numeric, claim_weights, span.size);
-      if (std::isnan(truth)) {
-        // Zero total weight: null weights select the uniform median.
-        truth = WeightedMedianSpan(span.numeric, nullptr, span.size, scratch.resolver);
-      }
-    }
-    truths->Set(i, m, Value::Continuous(truth));
+  if (soft_active[m]) {
+    const size_t l_m = (*num_labels)[m];
+    double* dist = (*soft)[m].data() + i * l_m;
+    WeightedLabelDistributionSpan(span.labels, claim_weights, span.size, dist, l_m);
+    truths->Set(i, m, Value::Categorical(static_cast<CategoryId>(ArgMaxSpan(dist, l_m))));
+    return;
   }
+  truths->Set(i, m, ResolveHardTruth(data, m, options.continuous_model, span, claim_weights,
+                                     scratch.resolver, scratch.edit));
 }
 
 /// Eq 3 over one shard's contiguous entry range. The (i, m) coordinates
 /// advance incrementally — no per-entry divide.
 CRH_HOT void UpdateTruthsShard(const Dataset& data, const ClaimIndex& index,
-                               const std::vector<PropertyType>& types,
                                const std::vector<char>& soft_active,
                                const std::vector<const std::vector<double>*>& weights_for,
                                const CrhOptions& options, EntryRange range, size_t m_props,
@@ -289,8 +314,8 @@ CRH_HOT void UpdateTruthsShard(const Dataset& data, const ClaimIndex& index,
   size_t i = range.begin / m_props;
   size_t m = range.begin % m_props;
   for (size_t e = range.begin; e < range.end; ++e) {
-    ResolveEntryTruth(data, types, soft_active, weights_for, options, i, m, index.entry(e),
-                      scratch, &state->truths, &state->soft, &state->num_labels);
+    ResolveEntryTruth(data, soft_active, weights_for, options, i, m, index.entry(e), scratch,
+                      &state->truths, &state->soft, &state->num_labels);
     if (++m == m_props) {
       m = 0;
       ++i;
@@ -304,9 +329,9 @@ CRH_HOT void UpdateTruthsShard(const Dataset& data, const ClaimIndex& index,
 /// scale, truth label string, soft-distribution row) are hoisted out of
 /// the claim loop, so each branch's inner loop streams the SoA lanes
 /// (span.numeric / span.labels) branch-free; the continuous loops
-/// auto-vectorize cleanly. The arithmetic per claim is unchanged from the
-/// per-claim form (in particular the division by scale stays a division),
-/// so results are bit-identical.
+/// auto-vectorize cleanly. The per-claim arithmetic is losses/loss.h's, the
+/// same functions the MapReduce weight map calls (in particular the
+/// division by scale stays a division), so results are bit-identical.
 template <typename Sink>
 CRH_HOT void AccumulateEntryLosses(const Dataset& data, const TruthView& view,
                                    const EntryStats& stats, ContinuousModel continuous_model,
@@ -333,7 +358,7 @@ CRH_HOT void AccumulateEntryLosses(const Dataset& data, const TruthView& view,
     }
     const CategoryId truth_label = view.truths->Get(i, m).category();
     for (size_t c = 0; c < span.size; ++c) {
-      sink(c, span.sources[c], span.labels[c] == truth_label ? 0.0 : 1.0);
+      sink(c, span.sources[c], ZeroOneLoss(truth_label, span.labels[c]));
     }
     return;
   }
@@ -342,13 +367,12 @@ CRH_HOT void AccumulateEntryLosses(const Dataset& data, const TruthView& view,
   CRH_DCHECK_GT(scale, 0.0);
   if (continuous_model == ContinuousModel::kMedian) {
     for (size_t c = 0; c < span.size; ++c) {
-      sink(c, span.sources[c], std::abs(truth - span.numeric[c]) / scale);
+      sink(c, span.sources[c], NormalizedAbsoluteLoss(truth, span.numeric[c], scale));
     }
     return;
   }
   for (size_t c = 0; c < span.size; ++c) {
-    const double diff = truth - span.numeric[c];
-    sink(c, span.sources[c], diff * diff / scale);
+    sink(c, span.sources[c], NormalizedSquaredLoss(truth, span.numeric[c], scale));
   }
 }
 
@@ -449,19 +473,17 @@ void UpdateTruths(const Dataset& data, const ClaimIndex& index,
   const size_t num_entries = index.num_entries();
 
   // Per-property dispatch, resolved once instead of per entry.
-  std::vector<PropertyType> types(m_props);
   std::vector<char> soft_active(m_props, 0);
   std::vector<const std::vector<double>*> weights_for(m_props);
   for (size_t m = 0; m < m_props; ++m) {
-    types[m] = data.schema().property(m).type;
-    soft_active[m] = types[m] == PropertyType::kCategorical &&
+    soft_active[m] = data.schema().property(m).type == PropertyType::kCategorical &&
                      options.categorical_model == CategoricalModel::kSoftProbability;
     weights_for[m] = &group_weights[property_group[m]];
   }
 
   const size_t num_shards = scratch.num_shards;
   RunShards(num_shards, pool, [&](size_t shard) {
-    UpdateTruthsShard(data, index, types, soft_active, weights_for, options,
+    UpdateTruthsShard(data, index, soft_active, weights_for, options,
                       ShardRange(num_entries, num_shards, shard), m_props,
                       scratch.per_shard[shard], state);
   });
@@ -503,27 +525,7 @@ void NormalizedLossMatrix(const Dataset& data, const ClaimIndex& index, const Tr
     }
   }
 
-  if (options.normalize_by_observation_count) {
-    for (size_t cell = 0; cell < cells; ++cell) {
-      if (count[cell] > 0) loss[cell] /= static_cast<double>(count[cell]);
-    }
-  }
-
-  if (options.property_normalization != PropertyLossNormalization::kNone) {
-    for (size_t m = 0; m < m_props; ++m) {
-      double norm = 0.0;
-      for (size_t k = 0; k < k_sources; ++k) {
-        if (options.property_normalization == PropertyLossNormalization::kSum) {
-          norm += loss[k * m_props + m];
-        } else {
-          norm = std::max(norm, loss[k * m_props + m]);
-        }
-      }
-      if (norm > 0) {
-        for (size_t k = 0; k < k_sources; ++k) loss[k * m_props + m] /= norm;
-      }
-    }
-  }
+  NormalizeLossMatrix(options, k_sources, m_props, count, loss);
 }
 
 /// Sums the normalized loss matrix over all properties (the global

@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/hot.h"
 #include "common/status.h"
 #include "data/claim_index.h"
 #include "data/dataset.h"
@@ -36,8 +37,10 @@
 
 namespace crh {
 
-class IterationObserver;  // analysis/invariants.h
-class ThreadPool;         // common/thread_pool.h
+class IterationObserver;      // analysis/invariants.h
+class ThreadPool;             // common/thread_pool.h
+struct ResolverScratch;       // losses/resolvers.h
+struct EditDistanceScratch;   // losses/text_distance.h
 
 /// Truth model for categorical properties.
 enum class CategoricalModel {
@@ -242,6 +245,28 @@ std::vector<double> ComputeSourceDeviations(const Dataset& data, const ClaimInde
                                             const ValueTable& truths, const EntryStats& stats,
                                             const CrhOptions& options, ThreadPool* pool,
                                             SolverWorkspace& workspace);
+
+/// The hard truth update (Eq 3) of one entry with claims on property
+/// \p m: the weighted vote (Eq 9) for categorical properties, the
+/// edit-distance medoid for text, and the weighted median (Eq 16) or mean
+/// (Eq 14, uniform median when the total weight is zero) for continuous
+/// ones. \p claim_weights[c] is the weight of the source of claim c. The
+/// span must be non-empty, with claims in ascending source order to agree
+/// bitwise with RunCrh; \p scratch must hold span.size claims and \p edit
+/// the property's longest label. Allocation-free: the per-entry kernel of
+/// both RunCrh and RunParallelCrh's truth reducer.
+CRH_HOT Value ResolveHardTruth(const Dataset& data, size_t m, ContinuousModel continuous_model,
+                               const ClaimSpan& span, const double* claim_weights,
+                               ResolverScratch& scratch, EditDistanceScratch& edit);
+
+/// Normalizes, in place, the row-major K x M matrix of summed per-(source,
+/// property) claim losses the weight update aggregates: divides each cell
+/// by its claim count \p count when options.normalize_by_observation_count
+/// is set, then each property column by its sum or max per
+/// options.property_normalization (Section 2.5). Shared by RunCrh's
+/// deviation pass and RunParallelCrh's weight-job wrapper.
+void NormalizeLossMatrix(const CrhOptions& options, size_t k_sources, size_t m_props,
+                         const size_t* count, double* loss);
 
 /// Computes the raw CRH objective (Eq 1) of a candidate solution: the
 /// weighted sum over sources of per-entry losses between \p truths and the

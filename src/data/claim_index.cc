@@ -43,7 +43,6 @@ ClaimIndex ClaimIndex::Build(const Dataset& data) {
   }
   const size_t num_claims = index.offsets_[num_entries];
   index.sources_.resize(num_claims);
-  index.values_.resize(num_claims);
   index.numeric_.resize(num_claims);
   index.labels_.resize(num_claims);
 
@@ -56,7 +55,6 @@ ClaimIndex ClaimIndex::Build(const Dataset& data) {
       if (cells[e].is_missing()) continue;
       const size_t at = cursor[e]++;
       index.sources_[at] = static_cast<uint32_t>(k);
-      index.values_[at] = cells[e];
       index.numeric_[at] = NumericLane(cells[e]);
       index.labels_[at] = LabelLane(cells[e]);
     }
@@ -100,7 +98,8 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
   if (batch_total == 0) return;
 
   std::vector<uint32_t> batch_sources(batch_total);
-  std::vector<Value> batch_values(batch_total);
+  std::vector<double> batch_numeric(batch_total);
+  std::vector<CategoryId> batch_labels(batch_total);
   std::vector<size_t> batch_cursor(batch_offsets.begin(), batch_offsets.end() - 1);
   for (size_t k = 0; k < k_sources; ++k) {
     const std::vector<Value>& cells = chunk.observations(k).cells();
@@ -114,7 +113,8 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
         // entry two claims from one source and no latest among them.
         CRH_DCHECK(at == batch_offsets[base + m] || batch_sources[at - 1] != k);
         batch_sources[at] = static_cast<uint32_t>(k);
-        batch_values[at] = v;
+        batch_numeric[at] = NumericLane(v);
+        batch_labels[at] = LabelLane(v);
       }
     }
   }
@@ -142,16 +142,14 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
   // a chunk stream costs amortized O(1) per claim in reallocation and the
   // capacity stays within 2x the claim count; then slide spans right in
   // place. No span shrinks, so new_total >= the old total.
-  const size_t new_total = values_.size() + batch_total - replaced;
-  if (new_total > values_.capacity()) {
-    const size_t grown = std::max(new_total, values_.capacity() * 2);
+  const size_t new_total = sources_.size() + batch_total - replaced;
+  if (new_total > sources_.capacity()) {
+    const size_t grown = std::max(new_total, sources_.capacity() * 2);
     sources_.reserve(grown);
-    values_.reserve(grown);
     numeric_.reserve(grown);
     labels_.reserve(grown);
   }
   sources_.resize(new_total);
-  values_.resize(new_total);
   numeric_.resize(new_total);
   labels_.resize(new_total);
 
@@ -179,13 +177,11 @@ void ClaimIndex::Append(const Dataset& chunk, const std::vector<size_t>& parent_
         }
         --batch_read;
         sources_[write] = batch_sources[batch_read];
-        values_[write] = batch_values[batch_read];
-        numeric_[write] = NumericLane(batch_values[batch_read]);
-        labels_[write] = LabelLane(batch_values[batch_read]);
+        numeric_[write] = batch_numeric[batch_read];
+        labels_[write] = batch_labels[batch_read];
       } else {
         --old_read;
         sources_[write] = sources_[old_read];
-        values_[write] = values_[old_read];
         numeric_[write] = numeric_[old_read];
         labels_[write] = labels_[old_read];
       }

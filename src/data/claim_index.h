@@ -19,18 +19,18 @@
 ///   sources_[c]                    claiming source of claim c (ascending
 ///                                  per entry, so iteration order matches
 ///                                  a dense K-scan exactly)
-///   values_[c]                     the claimed Value (tagged union)
 ///   numeric_[c]                    the claim as a double (continuous
 ///                                  claims only; NaN otherwise)
 ///   labels_[c]                     the claim as a CategoryId (categorical
 ///                                  and text claims; kInvalidCategory
 ///                                  otherwise)
 ///
-/// The numeric_ / labels_ lanes duplicate values_ in unboxed form: the
-/// truth and deviation kernels read one contiguous double (or int32) array
-/// per entry instead of gathering through the 16-byte tagged union, which
-/// keeps their inner loops branchless and auto-vectorizable (see
-/// docs/PERFORMANCE.md, "Structure-of-arrays claim lanes").
+/// Each claim is stored once, unboxed: the truth and deviation kernels read
+/// one contiguous double (or int32) array per entry instead of gathering
+/// through the 16-byte tagged Value, which keeps their inner loops
+/// branchless and auto-vectorizable (see docs/PERFORMANCE.md,
+/// "Structure-of-arrays claim lanes"). A property's type says which lane
+/// holds its claims.
 ///
 /// Build cost is two dense passes (one count, one fill) — paid once per
 /// solver run instead of once per entry per iteration. All accessors are
@@ -51,11 +51,10 @@
 namespace crh {
 
 /// Borrowed view of one entry's claims; valid while the index lives and
-/// until the next Append. `numeric` and `labels` are the unboxed lanes of
-/// `values` (see file comment).
+/// until the next Append. `numeric` holds continuous claims and `labels`
+/// categorical and text claims (see file comment).
 struct ClaimSpan {
   const uint32_t* sources = nullptr;
-  const Value* values = nullptr;
   const double* numeric = nullptr;
   const CategoryId* labels = nullptr;
   size_t size = 0;
@@ -101,9 +100,9 @@ class ClaimIndex {
   /// Number of (object, property) entries (N * M).
   size_t num_entries() const { return num_objects_ * num_properties_; }
   /// Total non-missing claims across all sources and entries.
-  size_t num_claims() const { return values_.size(); }
+  size_t num_claims() const { return sources_.size(); }
   /// Claims the lanes can hold before Append must grow them.
-  size_t claim_capacity() const { return values_.capacity(); }
+  size_t claim_capacity() const { return sources_.capacity(); }
   /// Largest claim count any entry has (0 for an empty index). Maintained
   /// incrementally so scratch sizing is O(1), not an index scan.
   size_t max_span_size() const { return max_span_size_; }
@@ -112,8 +111,8 @@ class ClaimIndex {
   ClaimSpan entry(size_t e) const {
     CRH_DCHECK_LT(e + 1, offsets_.size());
     const size_t begin = offsets_[e];
-    return {sources_.data() + begin, values_.data() + begin, numeric_.data() + begin,
-            labels_.data() + begin, offsets_[e + 1] - begin};
+    return {sources_.data() + begin, numeric_.data() + begin, labels_.data() + begin,
+            offsets_[e + 1] - begin};
   }
 
   /// The claims on entry (object i, property m).
@@ -129,7 +128,6 @@ class ClaimIndex {
   size_t max_span_size_ = 0;
   std::vector<size_t> offsets_;     // num_entries() + 1
   std::vector<uint32_t> sources_;   // ascending within each entry
-  std::vector<Value> values_;
   std::vector<double> numeric_;     // unboxed continuous lane (NaN elsewhere)
   std::vector<CategoryId> labels_;  // unboxed label lane (kInvalidCategory elsewhere)
 };

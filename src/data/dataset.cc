@@ -22,6 +22,17 @@ size_t Dataset::num_observations() const {
   return total;
 }
 
+size_t Dataset::MaxTextLabelLength() const {
+  size_t longest = 0;
+  for (size_t m = 0; m < num_properties(); ++m) {
+    if (schema_.property(m).type != PropertyType::kText) continue;
+    for (size_t id = 0; id < dicts_[m].size(); ++id) {
+      longest = std::max(longest, dicts_[m].label(static_cast<CategoryId>(id)).size());
+    }
+  }
+  return longest;
+}
+
 Status Dataset::set_timestamps(std::vector<int64_t> timestamps) {
   if (timestamps.size() != num_objects()) {
     return Status::InvalidArgument("timestamps size must equal num_objects");

@@ -87,6 +87,10 @@ class Dataset {
     return dicts_[m];
   }
 
+  /// Length of the longest label interned for any text property (0 when
+  /// there is none): the row size edit-distance scratch needs.
+  size_t MaxTextLabelLength() const;
+
   /// Interns a label for categorical property m and returns its Value.
   Value InternCategorical(size_t m, const std::string& label) {
     return Value::Categorical(dicts_[m].GetOrAdd(label));

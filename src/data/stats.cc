@@ -1,7 +1,5 @@
 #include "data/stats.h"
 
-#include <cmath>
-
 namespace crh {
 
 EntryStats ComputeEntryStats(const Dataset& data) {
@@ -31,15 +29,8 @@ EntryStats ComputeEntryStats(const Dataset& data) {
       }
       stats.count[idx] = count;
       if (continuous) {
-        double sd = 0.0;
-        if (count >= 2) {
-          const double mean = sum / count;
-          // Population variance; the paper's std(v^1..v^K) over claims.
-          double var = sum_sq / count - mean * mean;
-          if (var < 0) var = 0;  // numerical guard
-          sd = std::sqrt(var);
-        }
-        stats.scale[idx] = sd;  // 0 marks "no dispersion available"
+        // 0 marks "no dispersion available".
+        stats.scale[idx] = ClaimDispersion(static_cast<size_t>(count), sum, sum_sq);
       }
     }
   }

@@ -10,6 +10,8 @@
 /// different scales (temperatures vs trading volumes) contribute
 /// comparably to the weight update (Section 2.5, "Normalization").
 
+#include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "common/check.h"
@@ -39,6 +41,18 @@ struct EntryStats {
     return count[i * num_properties + m];
   }
 };
+
+/// Population standard deviation of \p count claims from their sum and sum
+/// of squares: the paper's std(v^1..v^K) over one entry's claims. 0 when
+/// there are fewer than two claims (no dispersion available). Shared by
+/// ComputeEntryStats and the MapReduce statistics reducer.
+inline double ClaimDispersion(size_t count, double sum, double sum_sq) {
+  if (count < 2) return 0.0;
+  const double mean = sum / static_cast<double>(count);
+  double var = sum_sq / static_cast<double>(count) - mean * mean;
+  if (var < 0) var = 0;  // numerical guard
+  return std::sqrt(var);
+}
 
 /// Computes per-entry scales and observation counts for a dataset.
 EntryStats ComputeEntryStats(const Dataset& data);

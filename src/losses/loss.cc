@@ -9,15 +9,4 @@ double ProbVectorSquaredLoss(const double* truth_dist, size_t num_labels, Catego
   return norm_sq - 2.0 * p_obs + 1.0;
 }
 
-double ProbVectorSquaredLoss(const std::vector<double>& truth_dist, CategoryId obs) {
-  return ProbVectorSquaredLoss(truth_dist.data(), truth_dist.size(), obs);
-}
-
-std::unique_ptr<LossFunction> DefaultLossForType(PropertyType type) {
-  if (type == PropertyType::kCategorical) {
-    return std::make_unique<ZeroOneLoss>();
-  }
-  return std::make_unique<NormalizedAbsoluteLoss>();
-}
-
 }  // namespace crh

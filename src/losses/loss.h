@@ -2,95 +2,57 @@
 #define CRH_LOSSES_LOSS_H_
 
 /// \file loss.h
-/// Loss functions d_m(truth, observation) for heterogeneous data types.
+/// Per-claim losses d_m(truth, observation) for heterogeneous data types.
 ///
 /// The CRH objective (Eq 1) sums, per source, per-entry losses between the
 /// current truth estimate and that source's claim. The loss is the hook by
-/// which each data type's notion of "closeness" enters the framework:
+/// which each data type's notion of "closeness" enters the framework. Each
+/// one is defined once here and read by both the serial solver's loss
+/// kernels (core/crh.cc) and the MapReduce weight map
+/// (mapreduce/parallel_crh.cc):
 ///
-///  * ZeroOneLoss          — Eq (8), categorical hard loss.
-///  * NormalizedSquaredLoss — Eq (13), continuous, squared deviation over
+///  * ZeroOneLoss            — Eq (8), categorical hard loss.
+///  * NormalizedSquaredLoss  — Eq (13), continuous, squared deviation over
 ///    the entry's claim dispersion (std across sources).
 ///  * NormalizedAbsoluteLoss — Eq (15), continuous, absolute deviation over
 ///    dispersion; robust to outliers.
+///  * ProbVectorSquaredLoss  — Eq (11), the soft categorical loss against a
+///    truth distribution.
 ///
-/// The probability-vector squared loss for soft categorical truths (Eq 11)
-/// does not fit the (Value, Value) signature because the truth is a
-/// distribution; it is provided as the free function ProbVectorSquaredLoss.
+/// The text loss, normalized edit distance, is in losses/text_distance.h.
+/// \p scale is the entry's normalization factor (see data/stats.h).
 
-#include <memory>
-#include <string>
-#include <vector>
+#include <cmath>
+#include <cstddef>
 
 #include "common/value.h"
 
 namespace crh {
 
-/// Interface for a per-entry loss d_m(v*, v^k).
-///
-/// \p scale is the entry's normalization factor (std of claims across
-/// sources for continuous entries, 1 otherwise); see data/stats.h.
-class LossFunction {
- public:
-  virtual ~LossFunction() = default;
-
-  /// Stable identifier, e.g. "zero_one".
-  virtual const char* name() const = 0;
-
-  /// The loss of observing \p obs when the truth is \p truth. Both values
-  /// must be non-missing and of the type the loss is defined for.
-  virtual double Loss(const Value& truth, const Value& obs, double scale) const = 0;
-};
-
-/// Eq (8): 1 if the claim differs from the truth, else 0.
-class ZeroOneLoss final : public LossFunction {
- public:
-  const char* name() const override { return "zero_one"; }
-  double Loss(const Value& truth, const Value& obs, double /*scale*/) const override {
-    return truth == obs ? 0.0 : 1.0;
-  }
-};
+/// Eq (8): 1 if the claimed label differs from the truth, else 0.
+inline double ZeroOneLoss(CategoryId truth, CategoryId obs) { return truth == obs ? 0.0 : 1.0; }
 
 /// Eq (13): (v* - v^k)^2 / std of claims on the entry.
-class NormalizedSquaredLoss final : public LossFunction {
- public:
-  const char* name() const override { return "normalized_squared"; }
-  double Loss(const Value& truth, const Value& obs, double scale) const override {
-    const double d = truth.continuous() - obs.continuous();
-    return d * d / scale;
-  }
-};
+inline double NormalizedSquaredLoss(double truth, double obs, double scale) {
+  const double diff = truth - obs;
+  return diff * diff / scale;
+}
 
 /// Eq (15): |v* - v^k| / std of claims on the entry.
-class NormalizedAbsoluteLoss final : public LossFunction {
- public:
-  const char* name() const override { return "normalized_absolute"; }
-  double Loss(const Value& truth, const Value& obs, double scale) const override {
-    const double d = truth.continuous() - obs.continuous();
-    return (d < 0 ? -d : d) / scale;
-  }
-};
+inline double NormalizedAbsoluteLoss(double truth, double obs, double scale) {
+  return std::abs(truth - obs) / scale;
+}
 
-/// Eq (11): squared Euclidean distance between a truth probability vector
-/// I* over the L_m labels of a categorical property and the one-hot claim
-/// vector of label \p obs:
+/// Eq (11): squared Euclidean distance between the truth probability vector
+/// I* stored at truth_dist[0 .. num_labels) and the one-hot claim vector of
+/// label \p obs:
 ///
 ///   ||I* - e_obs||^2 = ||I*||^2 - 2 * I*[obs] + 1.
 ///
-/// \p truth_dist must be a probability vector of length L_m; \p obs must be
-/// a valid CategoryId in [0, L_m).
-double ProbVectorSquaredLoss(const std::vector<double>& truth_dist, CategoryId obs);
-
-/// Pointer-view variant for hot paths: scores the distribution stored at
-/// truth_dist[0 .. num_labels) in place — per-claim callers point straight
-/// into a property's soft block instead of copying the entry's row into a
-/// fresh vector.
+/// Per-claim callers point straight into a property's soft block instead of
+/// copying the entry's row. \p obs must be a valid CategoryId in
+/// [0, num_labels).
 double ProbVectorSquaredLoss(const double* truth_dist, size_t num_labels, CategoryId obs);
-
-/// Factory: the loss function conventionally paired with a property type in
-/// the paper's main experiments (0-1 for categorical, normalized absolute
-/// deviation for continuous).
-std::unique_ptr<LossFunction> DefaultLossForType(PropertyType type);
 
 }  // namespace crh
 

@@ -11,15 +11,22 @@
 ///  * prob-vector sq loss -> weighted distribution (Eq 12), truth = argmax
 ///  * normalized squared  -> weighted mean        (Eq 14)
 ///  * normalized absolute -> weighted median      (Eq 16)
+///  * text edit distance  -> weighted medoid
 ///
-/// All functions skip nothing: callers pass only the non-missing claims on
-/// an entry. Tie-breaking is deterministic (smallest value / label id) so
-/// runs are reproducible.
+/// These are the only implementations: the serial solver's truth kernel
+/// (core/crh.h, ResolveHardTruth), the MapReduce truth reducer, the simple
+/// baselines and the benches all call them. They are CRH_HOT and
+/// allocation-free: they read raw claim spans (the unboxed lanes of
+/// data/claim_index.h, or a caller's gather into the same shape), write
+/// results through caller-owned buffers, and size nothing themselves.
+/// Callers pass only the non-missing claims on an entry. Tie-breaking is
+/// deterministic (smallest value / label id, or first claim for the medoid)
+/// so runs are reproducible; results depend on the claim order only
+/// through floating-point association, so callers that must agree bitwise
+/// pass claims in the same (ascending source) order.
 
 #include <cstddef>
-#include <functional>
 #include <limits>
-#include <vector>
 
 #include "common/arena.h"
 #include "common/check.h"
@@ -27,56 +34,6 @@
 #include "common/value.h"
 
 namespace crh {
-
-/// Eq (9): the value with the largest total weight among the claims.
-/// Ties break toward the smallest value (category id, then continuous
-/// magnitude). Returns Value::Missing() when there are no claims.
-Value WeightedVote(const std::vector<Value>& values, const std::vector<double>& weights);
-
-/// Eq (14): weighted arithmetic mean of the claims. Returns NaN when the
-/// total weight is zero (callers fall back to the unweighted mean).
-double WeightedMean(const std::vector<double>& values, const std::vector<double>& weights);
-
-/// Eq (16): weighted median. Given claims v^k with weights w_k, returns the
-/// claim v^j such that the total weight strictly below it is < W/2 and the
-/// total weight strictly above it is <= W/2, where W is the total weight.
-/// With uniform weights this is the classical (lower) median. Claims with
-/// non-positive weight are ignored; if all weights are non-positive the
-/// unweighted median of the claims is returned.
-double WeightedMedian(std::vector<double> values, std::vector<double> weights);
-
-/// Expected-linear-time weighted median via quickselect-style partitioning
-/// (the CLRS chapter-9 algorithm the paper cites). Produces exactly the
-/// same result as WeightedMedian; preferable when entries have many claims.
-double WeightedMedianLinear(std::vector<double> values, std::vector<double> weights);
-
-/// Eq (12): the weighted mean of one-hot claim vectors, i.e. the truth
-/// probability distribution over the num_labels labels of a categorical
-/// property. Claims are CategoryIds; the result sums to 1 when any claims
-/// are given (uniform over the claimed labels when the total weight is
-/// zero, so the mode always stays in the observed candidate set).
-std::vector<double> WeightedLabelDistribution(const std::vector<CategoryId>& labels,
-                                              const std::vector<double>& weights,
-                                              size_t num_labels);
-
-/// Weighted medoid: the claim minimizing the weighted total distance to
-/// all claims — the truth update induced by an arbitrary metric loss (used
-/// for text properties with edit distance). Ties break toward the claim
-/// with the smaller index. O(n^2) distance evaluations over the distinct
-/// claims. Returns Missing on no claims.
-Value WeightedMedoid(const std::vector<Value>& values, const std::vector<double>& weights,
-                     const std::function<double(const Value&, const Value&)>& distance);
-
-/// Index of the largest element, smallest index on ties.
-size_t ArgMax(const std::vector<double>& xs);
-
-// ---------------------------------------------------------------------------
-// Span variants: the CRH_HOT, allocation-free forms of the resolvers above,
-// used by the solver's per-entry kernels (core/crh.cc). They read raw claim
-// spans, write results through caller-owned buffers, and are bit-identical
-// to their vector counterparts — same candidate order, same floating-point
-// association, same tie-breaking. Callers size the scratch once per run
-// (outside any hot loop); the span functions never grow it.
 
 /// Caller-owned scratch for the span resolvers, carved out of a bump arena
 /// (common/arena.h). One instance serves one thread. Two sizing modes:
@@ -95,7 +52,6 @@ struct ResolverScratch {
   /// max_claims) headroom reserved). Cold path; pointers are invalidated by
   /// the arena's next Reserve/Reset.
   void CarveFrom(Arena& arena, size_t max_claims) {
-    candidates = arena.Carve<Value>(max_claims);
     labels = arena.Carve<CategoryId>(max_claims);
     tally = arena.Carve<double>(max_claims);
     order = arena.Carve<size_t>(max_claims);
@@ -104,12 +60,11 @@ struct ResolverScratch {
 
   /// Worst-case arena bytes CarveFrom(_, max_claims) consumes.
   static constexpr size_t BytesNeeded(size_t max_claims) {
-    return Arena::BytesFor<Value>(max_claims) + Arena::BytesFor<CategoryId>(max_claims) +
-           Arena::BytesFor<double>(max_claims) + Arena::BytesFor<size_t>(max_claims);
+    return Arena::BytesFor<CategoryId>(max_claims) + Arena::BytesFor<double>(max_claims) +
+           Arena::BytesFor<size_t>(max_claims);
   }
 
-  Value* candidates = nullptr;  // vote candidates / medoid distinct claims
-  CategoryId* labels = nullptr;  // label-lane candidates / distinct labels
+  CategoryId* labels = nullptr;  // vote candidates / medoid distinct labels
   double* tally = nullptr;       // vote tallies / medoid masses
   size_t* order = nullptr;       // median sort permutation
   size_t capacity = 0;           // claim capacity of each buffer above
@@ -118,86 +73,49 @@ struct ResolverScratch {
   Arena owned_;  // backs the buffers only in Reserve() mode
 };
 
-/// Eq (9) on a raw claim span; see WeightedVote. Missing values among the
-/// first \p n claims are skipped. Precondition: scratch.Reserve(n).
-CRH_HOT Value WeightedVoteSpan(const Value* values, const double* weights, size_t n,
-                               ResolverScratch& scratch);
-
-/// Eq (9) on the unboxed label lane (ClaimIndex::entry().labels): the
-/// weighted vote over CategoryIds, bit-identical to WeightedVoteSpan over
-/// the equivalent categorical Values (same first-claim candidate order,
-/// association and smallest-id tie-break). Returns kInvalidCategory when
-/// n == 0. Precondition: scratch.Reserve(n).
+/// Eq (9): the label with the largest total weight among the first \p n
+/// claims (candidates scanned in first-claim order). Ties break toward the
+/// smallest CategoryId. Returns kInvalidCategory when n == 0.
+/// Precondition: scratch.Reserve(n).
 CRH_HOT CategoryId WeightedVoteLabelsSpan(const CategoryId* labels, const double* weights,
                                           size_t n, ResolverScratch& scratch);
 
-/// Eq (14) on a raw claim span; see WeightedMean.
+/// Eq (14): weighted arithmetic mean of the claims, summed left to right.
+/// Returns NaN when the total weight is zero (callers fall back to the
+/// unweighted median).
 CRH_HOT double WeightedMeanSpan(const double* values, const double* weights, size_t n);
 
-/// Eq (16) on a raw claim span; see WeightedMedian. A null \p weights is
-/// the uniform weighting (the callers' zero-total-weight fallback without
-/// materializing a ones vector). Precondition: scratch.Reserve(n).
+/// Eq (16): weighted median. Given claims v^k with weights w_k, returns the
+/// claim v^j such that the total weight strictly below it is < W/2 and the
+/// total weight strictly above it is <= W/2, where W is the total weight.
+/// With uniform weights this is the classical (lower) median. Claims with
+/// non-positive weight are ignored; if all weights are non-positive, or
+/// \p weights is null, the unweighted median is returned. NaN on n == 0.
+/// Sort-based: O(n log n) over at most K claims. Precondition:
+/// scratch.Reserve(n).
 CRH_HOT double WeightedMedianSpan(const double* values, const double* weights, size_t n,
                                   ResolverScratch& scratch);
 
-/// Eq (12) on a raw claim span; see WeightedLabelDistribution. Writes the
-/// distribution over \p num_labels labels into dist[0 .. num_labels),
-/// zeroing it first.
+/// Eq (12): the weighted mean of one-hot claim vectors, i.e. the truth
+/// probability distribution over the \p num_labels labels of a categorical
+/// property, written into dist[0 .. num_labels) (zeroed first). It sums to 1
+/// when any claims are given (uniform over the claimed labels when the
+/// total weight is zero, so the mode always stays in the observed
+/// candidate set).
 CRH_HOT void WeightedLabelDistributionSpan(const CategoryId* labels, const double* weights,
                                            size_t n, double* dist, size_t num_labels);
 
-/// ArgMax over a raw span; smallest index on ties.
+/// Index of the largest of xs[0 .. n), smallest index on ties.
 CRH_HOT size_t ArgMaxSpan(const double* xs, size_t n);
 
-/// Weighted medoid on a raw claim span; see WeightedMedoid. The distance
+/// Weighted medoid: the claimed label minimizing the weighted total
+/// distance to all claims — the truth update induced by an arbitrary
+/// metric loss (text properties with edit distance). Duplicate claims are
+/// grouped so distances are evaluated once per distinct pair; ties break
+/// toward the first-claimed label. The distance is keyed by id pairs and
 /// is a template parameter (no std::function type erasure on the hot
-/// path). Precondition: scratch.Reserve(n).
-template <typename DistanceFn>
-CRH_HOT Value WeightedMedoidSpan(const Value* values, const double* weights, size_t n,
-                                 ResolverScratch& scratch, const DistanceFn& dist_fn) {
-  CRH_DCHECK_GE(scratch.capacity, n);
-  Value* distinct = scratch.candidates;
-  double* mass = scratch.tally;
-  size_t num_distinct = 0;
-  for (size_t k = 0; k < n; ++k) {
-    if (values[k].is_missing()) continue;
-    bool found = false;
-    for (size_t d = 0; d < num_distinct; ++d) {
-      if (distinct[d] == values[k]) {
-        mass[d] += weights[k];
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      distinct[num_distinct] = values[k];
-      mass[num_distinct] = weights[k];
-      ++num_distinct;
-    }
-  }
-  if (num_distinct == 0) return Value::Missing();
-
-  Value best = distinct[0];
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < num_distinct; ++c) {
-    double cost = 0.0;
-    for (size_t d = 0; d < num_distinct; ++d) {
-      if (d != c) cost += mass[d] * dist_fn(distinct[c], distinct[d]);
-    }
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = distinct[c];
-    }
-  }
-  return best;
-}
-
-/// Weighted medoid on the unboxed label lane: distinct claims are
-/// CategoryIds and the distance is keyed by id pairs. Bit-identical to
-/// WeightedMedoidSpan over the equivalent interned Values — Value equality
-/// on same-kind labels IS id equality, so the distinct scan, mass
-/// association and smaller-index tie-break coincide. Returns
-/// kInvalidCategory on no claims. Precondition: scratch.Reserve(n).
+/// path). Returns kInvalidCategory on no claims. Precondition:
+/// scratch.Reserve(n).
 template <typename DistanceFn>
 CRH_HOT CategoryId WeightedMedoidLabelsSpan(const CategoryId* labels, const double* weights,
                                             size_t n, ResolverScratch& scratch,

@@ -20,18 +20,10 @@
 
 namespace crh {
 
-/// Levenshtein (unit-cost insert/delete/substitute) distance.
-size_t LevenshteinDistance(const std::string& a, const std::string& b);
-
-/// LevenshteinDistance normalized by the longer string's length; 0 for
-/// equal strings, 1 for completely disjoint ones. Two empty strings have
-/// distance 0.
-double NormalizedEditDistance(const std::string& a, const std::string& b);
-
 /// Caller-owned rows for the two-row Levenshtein dynamic program, carved
 /// out of a bump arena (common/arena.h). Size once (outside any hot loop)
 /// to the longest label that can appear, then reuse across claims: the
-/// scratch variants below never allocate. Standalone callers Reserve();
+/// distances below never allocate. Standalone callers Reserve();
 /// the solver CarveFrom()s its shared workspace arena.
 struct EditDistanceScratch {
   /// Standalone sizing for strings up to \p max_len characters. Cold path.
@@ -61,15 +53,15 @@ struct EditDistanceScratch {
   Arena owned_;  // backs the rows only in Reserve() mode
 };
 
-/// Allocation-free LevenshteinDistance over caller-owned scratch rows.
-/// Precondition (checked): \p scratch was Reserve()d to at least
-/// min(|a|, |b|). Bit-identical to the allocating variant. Distinctly
-/// named (not an overload) so call graphs keep the hot and allocating
-/// variants apart.
+/// Levenshtein (unit-cost insert/delete/substitute) distance over
+/// caller-owned scratch rows; allocation-free. Precondition (checked):
+/// \p scratch was Reserve()d to at least min(|a|, |b|).
 CRH_HOT size_t LevenshteinDistanceSpan(const std::string& a, const std::string& b,
                                        EditDistanceScratch& scratch);
 
-/// Allocation-free NormalizedEditDistance; see LevenshteinDistanceSpan.
+/// LevenshteinDistanceSpan normalized by the longer string's length: the
+/// text loss. 0 for equal strings, 1 for completely disjoint ones; two
+/// empty strings have distance 0.
 CRH_HOT double NormalizedEditDistanceSpan(const std::string& a, const std::string& b,
                                           EditDistanceScratch& scratch);
 

@@ -8,8 +8,9 @@
 #include "analysis/invariants.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "losses/resolvers.h"
 #include "data/stats.h"
+#include "losses/loss.h"
+#include "losses/resolvers.h"
 #include "losses/text_distance.h"
 #include "weights/weight_scheme.h"
 
@@ -56,6 +57,13 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
     return Status::NotImplemented(
         "the soft categorical model is not supported by parallel CRH");
   }
+  if (options.base.supervision != nullptr) {
+    return Status::NotImplemented("supervision is not supported by parallel CRH");
+  }
+  if (options.base.weight_granularity != WeightGranularity::kGlobal) {
+    return Status::NotImplemented(
+        "per-type and per-property source weights are not supported by parallel CRH");
+  }
   if (data.num_sources() == 0) {
     return Status::InvalidArgument("dataset has no sources");
   }
@@ -70,17 +78,13 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
   DistributedCache cache;
   cache.weights.assign(k_sources, 1.0 / static_cast<double>(k_sources));
 
+  const auto property_of = [m_props](uint64_t entry_id) {
+    return static_cast<size_t>(entry_id % m_props);
+  };
   const auto property_type = [&](uint64_t entry_id) {
-    return data.schema().property(static_cast<size_t>(entry_id % m_props)).type;
+    return data.schema().property(property_of(entry_id)).type;
   };
-  const auto is_categorical = [&](uint64_t entry_id) {
-    return property_type(entry_id) == PropertyType::kCategorical;
-  };
-  const auto text_distance = [&](uint64_t entry_id, const Value& a, const Value& b) {
-    const size_t m = static_cast<size_t>(entry_id % m_props);
-    return NormalizedEditDistance(data.dict(m).label(a.category()),
-                                  data.dict(m).label(b.category()));
-  };
+  const size_t max_label_len = data.MaxTextLabelLength();
 
   // --- Statistics job: per-entry claim dispersion for continuous losses.
   {
@@ -93,16 +97,12 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
     };
     spec.reduce = [](const uint64_t& entry, std::vector<double>&& values,
                      std::vector<std::pair<uint64_t, double>>* out) {
-      if (values.size() < 2) return;
       double sum = 0, sum_sq = 0;
       for (double v : values) {
         sum += v;
         sum_sq += v * v;
       }
-      const double mean = sum / static_cast<double>(values.size());
-      double var = sum_sq / static_cast<double>(values.size()) - mean * mean;
-      if (var < 0) var = 0;
-      const double sd = std::sqrt(var);
+      const double sd = ClaimDispersion(values.size(), sum, sum_sq);
       if (sd > 1e-12) out->emplace_back(entry, sd);
     };
     auto job = RunMapReduce(tuples, spec, options.mr);
@@ -119,39 +119,42 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
                   std::vector<std::pair<uint64_t, std::pair<uint32_t, Value>>>* out) {
       out->emplace_back(t.entry_id, std::make_pair(t.source_id, t.value));
     };
+    // Gathers the entry's claims into the lanes RunCrh reads from its
+    // ClaimIndex and resolves them with the solver's own per-entry kernel.
+    // Reduce calls run concurrently, so each owns its lanes and scratch.
     spec.reduce = [&](const uint64_t& entry, std::vector<std::pair<uint32_t, Value>>&& claims,
                       std::vector<std::pair<uint64_t, Value>>* out) {
-      std::vector<double> weights;
-      weights.reserve(claims.size());
-      for (const auto& [source, value] : claims) weights.push_back(cache.weights[source]);
-      Value truth;
-      if (is_categorical(entry)) {
-        std::vector<Value> values;
-        values.reserve(claims.size());
-        for (const auto& [source, value] : claims) values.push_back(value);
-        truth = WeightedVote(values, weights);
-      } else if (property_type(entry) == PropertyType::kText) {
-        std::vector<Value> values;
-        values.reserve(claims.size());
-        for (const auto& [source, value] : claims) values.push_back(value);
-        truth = WeightedMedoid(values, weights, [&](const Value& a, const Value& b) {
-          return text_distance(entry, a, b);
-        });
-      } else {
-        std::vector<double> values;
-        values.reserve(claims.size());
-        for (const auto& [source, value] : claims) values.push_back(value.continuous());
-        if (options.base.continuous_model == ContinuousModel::kMedian) {
-          truth = Value::Continuous(WeightedMedian(std::move(values), std::move(weights)));
+      const size_t m = property_of(entry);
+      const size_t n = claims.size();
+      const PropertyType type = property_type(entry);
+      const bool continuous = type == PropertyType::kContinuous;
+      std::vector<double> claim_weights(n);
+      std::vector<double> numeric(continuous ? n : 0);
+      std::vector<CategoryId> labels(continuous ? 0 : n);
+      for (size_t c = 0; c < n; ++c) {
+        const auto& [source, value] = claims[c];
+        // Splits are contiguous runs of DatasetToTuples' source-major
+        // stream and the engine concatenates them in split order, so the
+        // claims arrive in ascending source order: the order RunCrh sums
+        // in, on which bit-identity with it rests.
+        CRH_DCHECK(c == 0 || claims[c - 1].first < source);
+        claim_weights[c] = cache.weights[source];
+        if (continuous) {
+          numeric[c] = value.continuous();
         } else {
-          double v = WeightedMean(values, weights);
-          if (std::isnan(v)) {
-            v = WeightedMedian(std::move(values), std::vector<double>(claims.size(), 1.0));
-          }
-          truth = Value::Continuous(v);
+          labels[c] = value.category();
         }
       }
-      out->emplace_back(entry, truth);
+      ResolverScratch scratch;
+      scratch.Reserve(n);
+      EditDistanceScratch edit;
+      if (type == PropertyType::kText) edit.Reserve(max_label_len);
+      ClaimSpan span;
+      span.numeric = numeric.data();
+      span.labels = labels.data();
+      span.size = n;
+      out->emplace_back(entry, ResolveHardTruth(data, m, options.base.continuous_model, span,
+                                                claim_weights.data(), scratch, edit));
     };
     auto job = RunMapReduce(tuples, spec, options.mr);
     if (!job.ok()) return job.status();
@@ -162,8 +165,8 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
   };
 
   const auto run_weight_job = [&]() -> Result<std::vector<double>> {
-    // Key: source * M + property, so the wrapper can apply the per-property
-    // normalization of Section 2.5. Value: (partial error, claim count).
+    // Key: source * M + property, the row-major cell of the K x M loss
+    // matrix the wrapper normalizes. Value: (partial error, claim count).
     using ErrAndCount = std::pair<double, uint64_t>;
     MapReduceSpec<ObservationTuple, uint64_t, ErrAndCount, std::pair<uint64_t, ErrAndCount>>
         spec;
@@ -172,20 +175,25 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
       const auto truth_it = cache.truths.find(t.entry_id);
       if (truth_it == cache.truths.end()) return;
       const Value& truth = truth_it->second;
+      const size_t m = property_of(t.entry_id);
+      const PropertyType type = property_type(t.entry_id);
       double loss;
-      if (is_categorical(t.entry_id)) {
-        loss = truth == t.value ? 0.0 : 1.0;
-      } else if (property_type(t.entry_id) == PropertyType::kText) {
-        loss = text_distance(t.entry_id, truth, t.value);
+      if (type == PropertyType::kCategorical) {
+        loss = ZeroOneLoss(truth.category(), t.value.category());
+      } else if (type == PropertyType::kText) {
+        // Map calls run concurrently, so each sizes its own rows.
+        EditDistanceScratch edit;
+        edit.Reserve(max_label_len);
+        loss = NormalizedEditDistanceSpan(data.dict(m).label(truth.category()),
+                                          data.dict(m).label(t.value.category()), edit);
+      } else if (options.base.continuous_model == ContinuousModel::kMedian) {
+        loss = NormalizedAbsoluteLoss(truth.continuous(), t.value.continuous(),
+                                      CacheScale(cache, t.entry_id));
       } else {
-        const double d = truth.continuous() - t.value.continuous();
-        const double scale = CacheScale(cache, t.entry_id);
-        loss = options.base.continuous_model == ContinuousModel::kMedian
-                   ? std::abs(d) / scale
-                   : d * d / scale;
+        loss = NormalizedSquaredLoss(truth.continuous(), t.value.continuous(),
+                                     CacheScale(cache, t.entry_id));
       }
-      out->emplace_back(t.source_id * m_props + t.entry_id % m_props,
-                        std::make_pair(loss, uint64_t{1}));
+      out->emplace_back(t.source_id * m_props + m, std::make_pair(loss, uint64_t{1}));
     };
     spec.combine = [](const uint64_t&, std::vector<ErrAndCount>&& values) {
       ErrAndCount total{0.0, 0};
@@ -208,36 +216,18 @@ Result<ParallelCrhResult> RunParallelCrh(const Dataset& data,
     if (!job.ok()) return job.status();
     result.job_stats.push_back(job->stats);
 
-    // Wrapper: normalize per observation count and per property, then
-    // convert deviations to weights — mirroring serial CRH exactly.
-    std::vector<std::vector<double>> loss(k_sources, std::vector<double>(m_props, 0.0));
+    // Wrapper: the solver's own normalization of the loss matrix, then
+    // deviations to weights.
+    std::vector<double> loss(k_sources * m_props, 0.0);
+    std::vector<size_t> count(k_sources * m_props, 0);
     for (const auto& [key, err_count] : job->records) {
-      const size_t k = static_cast<size_t>(key / m_props);
-      const size_t m = static_cast<size_t>(key % m_props);
-      double value = err_count.first;
-      if (options.base.normalize_by_observation_count && err_count.second > 0) {
-        value /= static_cast<double>(err_count.second);
-      }
-      loss[k][m] = value;
+      loss[key] = err_count.first;
+      count[key] = err_count.second;
     }
-    if (options.base.property_normalization != PropertyLossNormalization::kNone) {
-      for (size_t m = 0; m < m_props; ++m) {
-        double norm = 0.0;
-        for (size_t k = 0; k < k_sources; ++k) {
-          if (options.base.property_normalization == PropertyLossNormalization::kSum) {
-            norm += loss[k][m];
-          } else {
-            norm = std::max(norm, loss[k][m]);
-          }
-        }
-        if (norm > 0) {
-          for (size_t k = 0; k < k_sources; ++k) loss[k][m] /= norm;
-        }
-      }
-    }
+    NormalizeLossMatrix(options.base, k_sources, m_props, count.data(), loss.data());
     std::vector<double> totals(k_sources, 0.0);
     for (size_t k = 0; k < k_sources; ++k) {
-      for (size_t m = 0; m < m_props; ++m) totals[k] += loss[k][m];
+      for (size_t m = 0; m < m_props; ++m) totals[k] += loss[k * m_props + m];
     }
     return ComputeSourceWeights(totals, options.base.weight_scheme);
   };

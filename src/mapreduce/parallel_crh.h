@@ -16,8 +16,16 @@
 ///
 /// A one-off statistics job computes the per-entry claim dispersion that
 /// the continuous losses normalize by. The wrapper iterates to convergence
-/// (Section 2.7.4). Results are bit-identical to serial RunCrh under the
-/// same options.
+/// (Section 2.7.4). The reducers, the weight map and the wrapper run the
+/// serial solver's own steps (ResolveHardTruth, the losses/loss.h losses,
+/// NormalizeLossMatrix, ClaimDispersion). With the same options and a
+/// fixed iteration budget the weights agree with serial RunCrh's within
+/// 1e-12: the weight job's combiner sums claim losses per map split, so
+/// with more than one split the last bits may differ. The median and the
+/// vote select a claim, so those truths are exactly equal; the weighted
+/// mean carries the weights' last bits into its truths. Supervision,
+/// per-type or per-property weights and the soft categorical model are
+/// rejected with NotImplemented.
 
 #include <cstdint>
 #include <vector>
@@ -43,7 +51,8 @@ std::vector<ObservationTuple> DatasetToTuples(const Dataset& data);
 /// Configuration for RunParallelCrh.
 struct ParallelCrhOptions {
   /// Loss models, weight scheme and normalizations. The soft categorical
-  /// model is not supported in the MapReduce formulation.
+  /// model, supervision and non-global weight granularity are not supported
+  /// in the MapReduce formulation.
   CrhOptions base;
   /// Engine configuration (mappers, reducers, threads).
   MapReduceConfig mr;

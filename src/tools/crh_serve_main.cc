@@ -42,7 +42,6 @@ std::string Usage() {
       "  --checkpoint-dir D   write crash-recovery checkpoints into D\n"
       "  --checkpoint-every N checkpoint every N ingested chunks (default 1)\n"
       "  --resume             resume from the newest good checkpoint in D\n"
-      "  --window N           timestamps per chunk window (default 1)\n"
       "  --decay A            decay rate in [0,1] (default 0.5)\n"
       "  --quarantine         quarantine malformed claims instead of failing\n"
       "  --truth-mode M       patchwork (default) | consistent; see crh_cli --help\n"
@@ -62,7 +61,6 @@ struct ServeArgs {
   std::string checkpoint_dir;
   int64_t checkpoint_every = 1;
   bool resume = false;
-  int64_t window = 1;
   double decay = 0.5;
   bool quarantine = false;
   crh::TruthMode truth_mode = crh::TruthMode::kPatchwork;
@@ -113,8 +111,6 @@ crh::Result<ServeArgs> ParseArgs(const std::vector<std::string>& args) {
       CRH_RETURN_NOT_OK(take_number(&parsed.checkpoint_every, int64_t{1}, kNoMax));
     } else if (arg == "--resume") {
       parsed.resume = true;
-    } else if (arg == "--window") {
-      CRH_RETURN_NOT_OK(take_number(&parsed.window, int64_t{1}, kNoMax));
     } else if (arg == "--decay") {
       CRH_RETURN_NOT_OK(take_number(&parsed.decay, 0.0, 1.0));
     } else if (arg == "--quarantine") {
@@ -178,7 +174,6 @@ int Run(const std::vector<std::string>& args) {
 
   crh::IncrementalCrhOptions options;
   options.decay = parsed->decay;
-  options.window_size = parsed->window;
   options.quarantine_bad_claims = parsed->quarantine;
   options.base.num_threads = parsed->threads;
   options.truth_mode = parsed->truth_mode;

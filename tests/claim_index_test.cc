@@ -30,7 +30,6 @@ void ExpectIndexesIdentical(const ClaimIndex& want, const ClaimIndex& got) {
     ASSERT_EQ(want_span.size, got_span.size) << "entry " << e;
     for (size_t c = 0; c < want_span.size; ++c) {
       EXPECT_EQ(want_span.sources[c], got_span.sources[c]) << "entry " << e;
-      EXPECT_EQ(want_span.values[c], got_span.values[c]) << "entry " << e;
       EXPECT_EQ(want_span.labels[c], got_span.labels[c]) << "entry " << e;
       // The numeric lane is NaN for non-continuous claims, so compare bits
       // via the is-NaN predicate rather than operator==.
@@ -89,7 +88,11 @@ TEST(ClaimIndexTest, MatchesDenseScanClaimForClaim) {
       ASSERT_EQ(span.size, want_sources.size()) << "entry (" << i << ", " << m << ")";
       for (size_t c = 0; c < span.size; ++c) {
         EXPECT_EQ(span.sources[c], want_sources[c]);
-        EXPECT_EQ(span.values[c], want_values[c]);
+        if (want_values[c].is_continuous()) {
+          EXPECT_EQ(span.numeric[c], want_values[c].continuous());
+        } else {
+          EXPECT_EQ(span.labels[c], want_values[c].category());
+        }
       }
       total += span.size;
     }
@@ -107,7 +110,8 @@ TEST(ClaimIndexTest, FlatAndTwoDimensionalAddressingAgree) {
       const ClaimSpan by_pair = index.entry(i, m);
       const ClaimSpan by_id = index.entry(i * m_props + m);
       EXPECT_EQ(by_pair.sources, by_id.sources);
-      EXPECT_EQ(by_pair.values, by_id.values);
+      EXPECT_EQ(by_pair.numeric, by_id.numeric);
+      EXPECT_EQ(by_pair.labels, by_id.labels);
       EXPECT_EQ(by_pair.size, by_id.size);
     }
   }
@@ -259,13 +263,13 @@ TEST(ClaimIndexTest, LanesUnboxTheTaggedValues) {
     // is invalid. Property 1 is categorical: the reverse.
     const ClaimSpan cont = index.entry(i, 0);
     for (size_t c = 0; c < cont.size; ++c) {
-      EXPECT_EQ(cont.numeric[c], cont.values[c].continuous());
+      EXPECT_EQ(cont.numeric[c], data.observations(cont.sources[c]).Get(i, 0).continuous());
       EXPECT_EQ(cont.labels[c], kInvalidCategory);
     }
     const ClaimSpan cat = index.entry(i, 1);
     for (size_t c = 0; c < cat.size; ++c) {
       EXPECT_TRUE(std::isnan(cat.numeric[c]));
-      EXPECT_EQ(cat.labels[c], cat.values[c].category());
+      EXPECT_EQ(cat.labels[c], data.observations(cat.sources[c]).Get(i, 1).category());
     }
   }
 }

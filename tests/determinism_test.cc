@@ -9,9 +9,10 @@
 /// or different NaN payloads that a written artifact would distinguish.
 ///
 /// This is the regression net behind the unordered-container audit
-/// (scripts/crh_analyzer.py's unordered-iteration rule): WeightedVote and the
-/// MapReduce truth cache use hash maps as lookup-only indexes, and these
-/// tests fail if hash-bucket order ever leaks back into results.
+/// (scripts/crh_analyzer.py's unordered-iteration rule): the MapReduce
+/// distributed cache uses hash maps as lookup-only indexes, and these tests
+/// fail if hash-bucket order ever leaks back into results. The vote cases
+/// pin the Eq-9 tie-break to the claimed labels alone.
 
 #include <gtest/gtest.h>
 
@@ -100,36 +101,37 @@ Dataset MakeDataset(size_t num_objects, uint64_t seed) {
 
 TEST(DeterminismTest, WeightedVoteTieBreakIsAPureFunctionOfClaims) {
   // Four sources with equal weight claim two tied categories; the winner
-  // must be the ValueLess-smaller one, every single run, regardless of how
-  // the dedup hash map buckets the candidates.
-  const std::vector<Value> values = {
-      Value::Categorical(3), Value::Categorical(1), Value::Categorical(3),
-      Value::Categorical(1)};
+  // must be the smaller id, every single run.
+  const std::vector<CategoryId> labels = {3, 1, 3, 1};
   const std::vector<double> weights = {1.0, 1.0, 1.0, 1.0};
+  ResolverScratch scratch;
+  scratch.Reserve(labels.size());
   for (int run = 0; run < 50; ++run) {
-    const Value winner = WeightedVote(values, weights);
-    ASSERT_FALSE(winner.is_missing());
-    ASSERT_EQ(winner.category(), CategoryId{1}) << "run " << run;
+    const CategoryId winner =
+        WeightedVoteLabelsSpan(labels.data(), weights.data(), labels.size(), scratch);
+    ASSERT_NE(winner, kInvalidCategory);
+    ASSERT_EQ(winner, CategoryId{1}) << "run " << run;
   }
 }
 
 TEST(DeterminismTest, WeightedVoteManyWayTies) {
-  // Every candidate tied: the smallest category must win; with continuous
-  // claims the smallest value must win. Claim order is shuffled between
-  // checks to prove the result depends on the claim *set*, not its order
-  // here (ties resolve by value, not arrival).
+  // Every candidate tied: the smallest category must win. Claim order is
+  // shuffled between checks to prove the result depends on the claim
+  // *set*, not its order here (ties resolve by value, not arrival).
   Rng rng(99);
-  std::vector<Value> values;
-  for (CategoryId id : {7, 2, 9, 4}) values.push_back(Value::Categorical(id));
-  std::vector<double> weights(values.size(), 0.25);
+  std::vector<CategoryId> labels = {7, 2, 9, 4};
+  std::vector<double> weights(labels.size(), 0.25);
+  ResolverScratch scratch;
+  scratch.Reserve(labels.size());
   for (int run = 0; run < 30; ++run) {
     // Fisher-Yates with the seeded Rng: deterministic test, varying order.
-    for (size_t i = values.size() - 1; i > 0; --i) {
+    for (size_t i = labels.size() - 1; i > 0; --i) {
       const size_t j = static_cast<size_t>(rng.UniformInt(0, static_cast<int>(i)));
-      std::swap(values[i], values[j]);
+      std::swap(labels[i], labels[j]);
     }
-    const Value winner = WeightedVote(values, weights);
-    ASSERT_EQ(winner.category(), CategoryId{2}) << "run " << run;
+    const CategoryId winner =
+        WeightedVoteLabelsSpan(labels.data(), weights.data(), labels.size(), scratch);
+    ASSERT_EQ(winner, CategoryId{2}) << "run " << run;
   }
 }
 

@@ -2,79 +2,62 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace crh {
 namespace {
 
-TEST(ZeroOneLossTest, MatchesIsZero) {
-  ZeroOneLoss loss;
-  EXPECT_DOUBLE_EQ(loss.Loss(Value::Categorical(2), Value::Categorical(2), 1.0), 0.0);
-}
+TEST(ZeroOneLossTest, MatchesIsZero) { EXPECT_DOUBLE_EQ(ZeroOneLoss(2, 2), 0.0); }
 
-TEST(ZeroOneLossTest, MismatchIsOne) {
-  ZeroOneLoss loss;
-  EXPECT_DOUBLE_EQ(loss.Loss(Value::Categorical(2), Value::Categorical(3), 1.0), 1.0);
-}
+TEST(ZeroOneLossTest, MismatchIsOne) { EXPECT_DOUBLE_EQ(ZeroOneLoss(2, 3), 1.0); }
 
 TEST(ZeroOneLossTest, IgnoresScale) {
-  ZeroOneLoss loss;
-  EXPECT_DOUBLE_EQ(loss.Loss(Value::Categorical(0), Value::Categorical(1), 100.0), 1.0);
+  // Eq 8 takes no entry scale: a mismatch costs 1 however dispersed the
+  // entry's claims are.
+  EXPECT_DOUBLE_EQ(ZeroOneLoss(0, 1), 1.0);
 }
 
 TEST(NormalizedSquaredLossTest, QuadraticInDistance) {
-  NormalizedSquaredLoss loss;
-  const Value truth = Value::Continuous(10.0);
-  EXPECT_DOUBLE_EQ(loss.Loss(truth, Value::Continuous(10.0), 2.0), 0.0);
-  EXPECT_DOUBLE_EQ(loss.Loss(truth, Value::Continuous(12.0), 2.0), 4.0 / 2.0);
-  EXPECT_DOUBLE_EQ(loss.Loss(truth, Value::Continuous(14.0), 2.0), 16.0 / 2.0);
+  EXPECT_DOUBLE_EQ(NormalizedSquaredLoss(10.0, 10.0, 2.0), 0.0);
+  EXPECT_DOUBLE_EQ(NormalizedSquaredLoss(10.0, 12.0, 2.0), 4.0 / 2.0);
+  EXPECT_DOUBLE_EQ(NormalizedSquaredLoss(10.0, 14.0, 2.0), 16.0 / 2.0);
 }
 
 TEST(NormalizedSquaredLossTest, SymmetricInArguments) {
-  NormalizedSquaredLoss loss;
-  EXPECT_DOUBLE_EQ(loss.Loss(Value::Continuous(3), Value::Continuous(7), 1.5),
-                   loss.Loss(Value::Continuous(7), Value::Continuous(3), 1.5));
+  EXPECT_DOUBLE_EQ(NormalizedSquaredLoss(3, 7, 1.5), NormalizedSquaredLoss(7, 3, 1.5));
 }
 
 TEST(NormalizedAbsoluteLossTest, LinearInDistance) {
-  NormalizedAbsoluteLoss loss;
-  const Value truth = Value::Continuous(10.0);
-  EXPECT_DOUBLE_EQ(loss.Loss(truth, Value::Continuous(14.0), 2.0), 2.0);
-  EXPECT_DOUBLE_EQ(loss.Loss(truth, Value::Continuous(6.0), 2.0), 2.0);
+  EXPECT_DOUBLE_EQ(NormalizedAbsoluteLoss(10.0, 14.0, 2.0), 2.0);
+  EXPECT_DOUBLE_EQ(NormalizedAbsoluteLoss(10.0, 6.0, 2.0), 2.0);
 }
 
 TEST(NormalizedAbsoluteLossTest, ScaleDividesLoss) {
-  NormalizedAbsoluteLoss loss;
-  const double base = loss.Loss(Value::Continuous(0), Value::Continuous(8), 1.0);
-  EXPECT_DOUBLE_EQ(loss.Loss(Value::Continuous(0), Value::Continuous(8), 4.0), base / 4.0);
+  const double base = NormalizedAbsoluteLoss(0, 8, 1.0);
+  EXPECT_DOUBLE_EQ(NormalizedAbsoluteLoss(0, 8, 4.0), base / 4.0);
 }
 
-TEST(LossNamesTest, StableIdentifiers) {
-  EXPECT_STREQ(ZeroOneLoss().name(), "zero_one");
-  EXPECT_STREQ(NormalizedSquaredLoss().name(), "normalized_squared");
-  EXPECT_STREQ(NormalizedAbsoluteLoss().name(), "normalized_absolute");
+double ProbVectorLoss(const std::vector<double>& dist, CategoryId obs) {
+  return ProbVectorSquaredLoss(dist.data(), dist.size(), obs);
 }
 
 TEST(ProbVectorSquaredLossTest, PerfectOneHotIsZero) {
-  EXPECT_DOUBLE_EQ(ProbVectorSquaredLoss({0.0, 1.0, 0.0}, 1), 0.0);
+  EXPECT_DOUBLE_EQ(ProbVectorLoss({0.0, 1.0, 0.0}, 1), 0.0);
 }
 
 TEST(ProbVectorSquaredLossTest, FullyWrongOneHotIsTwo) {
   // ||e_0 - e_2||^2 = 2.
-  EXPECT_DOUBLE_EQ(ProbVectorSquaredLoss({1.0, 0.0, 0.0}, 2), 2.0);
+  EXPECT_DOUBLE_EQ(ProbVectorLoss({1.0, 0.0, 0.0}, 2), 2.0);
 }
 
 TEST(ProbVectorSquaredLossTest, UniformDistribution) {
   // ||u - e_l||^2 = sum u_i^2 - 2 u_l + 1 = 1/3 - 2/3 + 1 = 2/3 for L = 3.
-  EXPECT_NEAR(ProbVectorSquaredLoss({1.0 / 3, 1.0 / 3, 1.0 / 3}, 0), 2.0 / 3, 1e-12);
+  EXPECT_NEAR(ProbVectorLoss({1.0 / 3, 1.0 / 3, 1.0 / 3}, 0), 2.0 / 3, 1e-12);
 }
 
 TEST(ProbVectorSquaredLossTest, HigherTruthMassGivesLowerLoss) {
-  EXPECT_LT(ProbVectorSquaredLoss({0.1, 0.9}, 1), ProbVectorSquaredLoss({0.4, 0.6}, 1));
-  EXPECT_LT(ProbVectorSquaredLoss({0.4, 0.6}, 1), ProbVectorSquaredLoss({0.6, 0.4}, 1));
-}
-
-TEST(DefaultLossForTypeTest, PaperDefaults) {
-  EXPECT_STREQ(DefaultLossForType(PropertyType::kCategorical)->name(), "zero_one");
-  EXPECT_STREQ(DefaultLossForType(PropertyType::kContinuous)->name(), "normalized_absolute");
+  EXPECT_LT(ProbVectorLoss({0.1, 0.9}, 1), ProbVectorLoss({0.4, 0.6}, 1));
+  EXPECT_LT(ProbVectorLoss({0.4, 0.6}, 1), ProbVectorLoss({0.6, 0.4}, 1));
 }
 
 /// Property sweep: all losses are non-negative and vanish iff the
@@ -83,14 +66,11 @@ class ContinuousLossProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(ContinuousLossProperty, NonNegativeAndZeroAtTruth) {
   const double v = GetParam();
-  NormalizedSquaredLoss sq;
-  NormalizedAbsoluteLoss abs;
-  const Value truth = Value::Continuous(v);
   for (double delta : {-7.5, -0.1, 0.0, 0.3, 12.0}) {
-    const Value obs = Value::Continuous(v + delta);
+    const double obs = v + delta;
     for (double scale : {0.5, 1.0, 10.0}) {
-      const double lsq = sq.Loss(truth, obs, scale);
-      const double labs = abs.Loss(truth, obs, scale);
+      const double lsq = NormalizedSquaredLoss(v, obs, scale);
+      const double labs = NormalizedAbsoluteLoss(v, obs, scale);
       EXPECT_GE(lsq, 0.0);
       EXPECT_GE(labs, 0.0);
       if (delta == 0.0) {
@@ -113,13 +93,9 @@ class LossGrowthProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(LossGrowthProperty, SquaredGrowsFasterThanAbsolute) {
   const double d = GetParam();
-  NormalizedSquaredLoss sq;
-  NormalizedAbsoluteLoss abs;
-  const Value truth = Value::Continuous(0.0);
-  const double r_abs = abs.Loss(truth, Value::Continuous(2 * d), 1.0) /
-                       abs.Loss(truth, Value::Continuous(d), 1.0);
-  const double r_sq = sq.Loss(truth, Value::Continuous(2 * d), 1.0) /
-                      sq.Loss(truth, Value::Continuous(d), 1.0);
+  const double r_abs =
+      NormalizedAbsoluteLoss(0.0, 2 * d, 1.0) / NormalizedAbsoluteLoss(0.0, d, 1.0);
+  const double r_sq = NormalizedSquaredLoss(0.0, 2 * d, 1.0) / NormalizedSquaredLoss(0.0, d, 1.0);
   EXPECT_NEAR(r_abs, 2.0, 1e-9);
   EXPECT_NEAR(r_sq, 4.0, 1e-9);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <tuple>
+
 #include "common/rng.h"
 #include "datagen/noise.h"
 #include "eval/metrics.h"
@@ -55,6 +59,27 @@ TEST(ParallelCrhTest, RejectsSoftModel) {
   EXPECT_EQ(RunParallelCrh(data, options).status().code(), StatusCode::kNotImplemented);
 }
 
+TEST(ParallelCrhTest, RejectsSupervision) {
+  // The MapReduce formulation has no supervision clamping; a supervised
+  // caller must not silently get an unsupervised run.
+  Dataset data = MakeMixedDataset(10);
+  const ValueTable labels(data.num_objects(), data.num_properties());
+  ParallelCrhOptions options;
+  options.base.supervision = &labels;
+  EXPECT_EQ(RunParallelCrh(data, options).status().code(), StatusCode::kNotImplemented);
+}
+
+TEST(ParallelCrhTest, RejectsFineGrainedWeights) {
+  // The weight job learns one global weight per source.
+  Dataset data = MakeMixedDataset(10);
+  for (WeightGranularity granularity :
+       {WeightGranularity::kPerType, WeightGranularity::kPerProperty}) {
+    ParallelCrhOptions options;
+    options.base.weight_granularity = granularity;
+    EXPECT_EQ(RunParallelCrh(data, options).status().code(), StatusCode::kNotImplemented);
+  }
+}
+
 TEST(ParallelCrhTest, RejectsNoSources) {
   Schema schema;
   ASSERT_TRUE(schema.AddContinuous("x").ok());
@@ -64,14 +89,16 @@ TEST(ParallelCrhTest, RejectsNoSources) {
 
 /// The central property: parallel CRH is an execution strategy, not a
 /// different algorithm. With the same options and iteration budget it must
-/// produce exactly the serial solver's truths and weights.
-class ParallelEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelEquivalence, MatchesSerialCrhExactly) {
-  Dataset data = MakeMixedDataset(200, 17, 0.2);
-  const int iterations = GetParam();
-
-  CrhOptions serial_options;
+/// produce the serial solver's truths and weights. The only difference the
+/// MapReduce form may show is the order in which the weight job sums claim
+/// losses: with one map split (and a dataset of one serial shard) that order
+/// is the serial pass's, and everything is bitwise equal; with several
+/// splits the combiner adds per-split partials, so the weights may differ
+/// in the last bits (within 1e-12). The weighted median and the vote select
+/// a claim, so their truths stay exactly equal; the weighted mean carries
+/// the weights' last bits into the truth (within 1e-12 relative).
+void ExpectParallelMatchesSerial(const Dataset& data, CrhOptions serial_options,
+                                 int iterations, int num_mappers) {
   serial_options.max_iterations = iterations;
   serial_options.convergence_tolerance = 0.0;
   auto serial = RunCrh(data, serial_options);
@@ -81,23 +108,81 @@ TEST_P(ParallelEquivalence, MatchesSerialCrhExactly) {
   parallel_options.base = serial_options;
   parallel_options.max_iterations = iterations;
   parallel_options.convergence_tolerance = 0.0;
-  parallel_options.mr.num_mappers = 3;
+  parallel_options.mr.num_mappers = num_mappers;
   parallel_options.mr.num_reducers = 4;
   auto parallel = RunParallelCrh(data, parallel_options);
   ASSERT_TRUE(parallel.ok());
 
+  const bool same_sum_order = num_mappers == 1;
   for (size_t k = 0; k < data.num_sources(); ++k) {
-    EXPECT_NEAR(serial->source_weights[k], parallel->source_weights[k], 1e-12) << "k=" << k;
+    if (same_sum_order) {
+      EXPECT_EQ(serial->source_weights[k], parallel->source_weights[k]) << "k=" << k;
+    } else {
+      EXPECT_NEAR(serial->source_weights[k], parallel->source_weights[k], 1e-12) << "k=" << k;
+    }
   }
+  const bool exact_truths =
+      same_sum_order || serial_options.continuous_model == ContinuousModel::kMedian;
   for (size_t i = 0; i < data.num_objects(); ++i) {
     for (size_t m = 0; m < data.num_properties(); ++m) {
-      EXPECT_EQ(serial->truths.Get(i, m), parallel->truths.Get(i, m))
-          << "entry (" << i << "," << m << ")";
+      const Value& want = serial->truths.Get(i, m);
+      const Value& got = parallel->truths.Get(i, m);
+      if (exact_truths || !want.is_continuous() || !got.is_continuous()) {
+        EXPECT_EQ(want, got) << "entry (" << i << "," << m << ")";
+      } else {
+        EXPECT_NEAR(want.continuous(), got.continuous(), 1e-12 * std::abs(want.continuous()))
+            << "entry (" << i << "," << m << ")";
+      }
     }
   }
 }
 
+class ParallelEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelEquivalence, MatchesSerialCrhExactly) {
+  ExpectParallelMatchesSerial(MakeMixedDataset(200, 17, 0.2), CrhOptions{}, GetParam(),
+                              /*num_mappers=*/3);
+}
+
 INSTANTIATE_TEST_SUITE_P(IterationBudgets, ParallelEquivalence, ::testing::Values(1, 3, 8));
+
+/// The same equivalence across every option the shared steps read: the
+/// continuous model (the median, and the mean with its zero-weight median
+/// fallback), the per-property normalization and the observation-count
+/// normalization (NormalizeLossMatrix), at one and at three map splits.
+using LossOptions = std::tuple<ContinuousModel, PropertyLossNormalization, bool>;
+
+class ParallelEquivalenceOverOptions : public ::testing::TestWithParam<LossOptions> {};
+
+TEST_P(ParallelEquivalenceOverOptions, MatchesSerialCrhExactly) {
+  CrhOptions options;
+  options.continuous_model = std::get<0>(GetParam());
+  options.property_normalization = std::get<1>(GetParam());
+  options.normalize_by_observation_count = std::get<2>(GetParam());
+  const Dataset data = MakeMixedDataset(200, 17, 0.2);
+  for (int num_mappers : {1, 3}) {
+    SCOPED_TRACE("num_mappers=" + std::to_string(num_mappers));
+    ExpectParallelMatchesSerial(data, options, 5, num_mappers);
+  }
+}
+
+std::string LossOptionsName(const ::testing::TestParamInfo<LossOptions>& info) {
+  const char* model =
+      std::get<0>(info.param) == ContinuousModel::kMedian ? "median" : "mean";
+  const char* norm = "none";
+  if (std::get<1>(info.param) == PropertyLossNormalization::kSum) norm = "sum";
+  if (std::get<1>(info.param) == PropertyLossNormalization::kMax) norm = "max";
+  return std::string(model) + "_" + norm + (std::get<2>(info.param) ? "_count" : "_nocount");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LossOptionGrid, ParallelEquivalenceOverOptions,
+    ::testing::Combine(::testing::Values(ContinuousModel::kMedian, ContinuousModel::kMean),
+                       ::testing::Values(PropertyLossNormalization::kNone,
+                                         PropertyLossNormalization::kSum,
+                                         PropertyLossNormalization::kMax),
+                       ::testing::Bool()),
+    LossOptionsName);
 
 TEST(ParallelCrhTest, ResultIndependentOfClusterGeometry) {
   Dataset data = MakeMixedDataset(120, 23, 0.1);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/crh.h"
@@ -17,26 +20,39 @@ namespace {
 // Levenshtein distance
 // ---------------------------------------------------------------------------
 
+// Adapters over the span kernels, sizing fresh rows per call.
+size_t EditDistance(const std::string& a, const std::string& b) {
+  EditDistanceScratch scratch;
+  scratch.Reserve(std::max(a.size(), b.size()));
+  return LevenshteinDistanceSpan(a, b, scratch);
+}
+
+double NormalizedDistance(const std::string& a, const std::string& b) {
+  EditDistanceScratch scratch;
+  scratch.Reserve(std::max(a.size(), b.size()));
+  return NormalizedEditDistanceSpan(a, b, scratch);
+}
+
 TEST(LevenshteinTest, IdenticalStringsAreZero) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "kitten"), 0u);
-  EXPECT_EQ(LevenshteinDistance("", ""), 0u);
+  EXPECT_EQ(EditDistance("kitten", "kitten"), 0u);
+  EXPECT_EQ(EditDistance("", ""), 0u);
 }
 
 TEST(LevenshteinTest, ClassicExamples) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2u);
-  EXPECT_EQ(LevenshteinDistance("abc", "abd"), 1u);
+  EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
+  EXPECT_EQ(EditDistance("flaw", "lawn"), 2u);
+  EXPECT_EQ(EditDistance("abc", "abd"), 1u);
 }
 
 TEST(LevenshteinTest, EmptyVersusNonEmpty) {
-  EXPECT_EQ(LevenshteinDistance("", "abc"), 3u);
-  EXPECT_EQ(LevenshteinDistance("abc", ""), 3u);
+  EXPECT_EQ(EditDistance("", "abc"), 3u);
+  EXPECT_EQ(EditDistance("abc", ""), 3u);
 }
 
 TEST(LevenshteinTest, SingleEdits) {
-  EXPECT_EQ(LevenshteinDistance("cat", "cut"), 1u);   // substitution
-  EXPECT_EQ(LevenshteinDistance("cat", "cart"), 1u);  // insertion
-  EXPECT_EQ(LevenshteinDistance("cat", "at"), 1u);    // deletion
+  EXPECT_EQ(EditDistance("cat", "cut"), 1u);   // substitution
+  EXPECT_EQ(EditDistance("cat", "cart"), 1u);  // insertion
+  EXPECT_EQ(EditDistance("cat", "at"), 1u);    // deletion
 }
 
 TEST(LevenshteinTest, Symmetric) {
@@ -49,7 +65,7 @@ TEST(LevenshteinTest, Symmetric) {
     for (int i = 0; i < rng.UniformInt(0, 10); ++i) {
       b += static_cast<char>('a' + rng.UniformInt(0, 4));
     }
-    EXPECT_EQ(LevenshteinDistance(a, b), LevenshteinDistance(b, a));
+    EXPECT_EQ(EditDistance(a, b), EditDistance(b, a));
   }
 }
 
@@ -64,51 +80,53 @@ TEST(LevenshteinTest, TriangleInequality) {
   };
   for (int trial = 0; trial < 50; ++trial) {
     const std::string a = random_string(), b = random_string(), c = random_string();
-    EXPECT_LE(LevenshteinDistance(a, c),
-              LevenshteinDistance(a, b) + LevenshteinDistance(b, c));
+    EXPECT_LE(EditDistance(a, c),
+              EditDistance(a, b) + EditDistance(b, c));
   }
 }
 
 TEST(NormalizedEditDistanceTest, UnitRange) {
-  EXPECT_DOUBLE_EQ(NormalizedEditDistance("abc", "abc"), 0.0);
-  EXPECT_DOUBLE_EQ(NormalizedEditDistance("abc", "xyz"), 1.0);
-  EXPECT_DOUBLE_EQ(NormalizedEditDistance("", ""), 0.0);
-  EXPECT_DOUBLE_EQ(NormalizedEditDistance("", "ab"), 1.0);
-  EXPECT_NEAR(NormalizedEditDistance("kitten", "sitting"), 3.0 / 7.0, 1e-12);
+  EXPECT_DOUBLE_EQ(NormalizedDistance("abc", "abc"), 0.0);
+  EXPECT_DOUBLE_EQ(NormalizedDistance("abc", "xyz"), 1.0);
+  EXPECT_DOUBLE_EQ(NormalizedDistance("", ""), 0.0);
+  EXPECT_DOUBLE_EQ(NormalizedDistance("", "ab"), 1.0);
+  EXPECT_NEAR(NormalizedDistance("kitten", "sitting"), 3.0 / 7.0, 1e-12);
 }
 
 // ---------------------------------------------------------------------------
-// WeightedMedoid
+// WeightedMedoidLabelsSpan, over labels that name numbers
 // ---------------------------------------------------------------------------
 
-double AbsDistance(const Value& a, const Value& b) {
-  return std::abs(a.continuous() - b.continuous());
+double AbsDistance(CategoryId a, CategoryId b) {
+  return std::abs(static_cast<double>(a) - static_cast<double>(b));
 }
 
-TEST(WeightedMedoidTest, EmptyGivesMissing) {
-  EXPECT_TRUE(WeightedMedoid({}, {}, AbsDistance).is_missing());
+CategoryId Medoid(const std::vector<CategoryId>& labels, const std::vector<double>& weights) {
+  ResolverScratch scratch;
+  scratch.Reserve(labels.size());
+  return WeightedMedoidLabelsSpan(labels.data(), weights.data(), labels.size(), scratch,
+                                  AbsDistance);
 }
 
-TEST(WeightedMedoidTest, SingleClaimIsItself) {
-  EXPECT_EQ(WeightedMedoid({Value::Continuous(5)}, {1.0}, AbsDistance),
-            Value::Continuous(5));
-}
+TEST(WeightedMedoidTest, EmptyGivesMissing) { EXPECT_EQ(Medoid({}, {}), kInvalidCategory); }
+
+TEST(WeightedMedoidTest, SingleClaimIsItself) { EXPECT_EQ(Medoid({5}, {1.0}), CategoryId{5}); }
 
 TEST(WeightedMedoidTest, MatchesWeightedMedianOnNumbers) {
   // For |a-b| distances over claimed values, the medoid coincides with a
   // weighted median restricted to the claims.
   Rng rng(17);
   for (int trial = 0; trial < 30; ++trial) {
-    std::vector<Value> values;
+    std::vector<CategoryId> labels;
     std::vector<double> weights, raw;
     const int n = static_cast<int>(rng.UniformInt(1, 10));
     for (int i = 0; i < n; ++i) {
       const double v = std::round(rng.Uniform(0, 20));
-      values.push_back(Value::Continuous(v));
+      labels.push_back(static_cast<CategoryId>(v));
       raw.push_back(v);
       weights.push_back(rng.Uniform(0.1, 2.0));
     }
-    const Value medoid = WeightedMedoid(values, weights, AbsDistance);
+    const double medoid = static_cast<double>(Medoid(labels, weights));
     // Verify optimality directly.
     const auto cost = [&](double center) {
       double total = 0;
@@ -119,15 +137,13 @@ TEST(WeightedMedoidTest, MatchesWeightedMedianOnNumbers) {
       return total;
     };
     for (double candidate : raw) {
-      EXPECT_LE(cost(medoid.continuous()), cost(candidate) + 1e-9);
+      EXPECT_LE(cost(medoid), cost(candidate) + 1e-9);
     }
   }
 }
 
 TEST(WeightedMedoidTest, HeavyWeightDominates) {
-  const std::vector<Value> values = {Value::Continuous(0), Value::Continuous(10),
-                                     Value::Continuous(11)};
-  EXPECT_EQ(WeightedMedoid(values, {10.0, 1.0, 1.0}, AbsDistance), Value::Continuous(0));
+  EXPECT_EQ(Medoid({0, 10, 11}, {10.0, 1.0, 1.0}), CategoryId{0});
 }
 
 // ---------------------------------------------------------------------------
@@ -178,7 +194,7 @@ TEST(TextNoiseTest, TyposLandNearTheTruth) {
     const Value& obs = data.observations(3).Get(i, 0);
     if (obs.is_missing() || obs == t) continue;
     ++corrupted;
-    total_distance += NormalizedEditDistance(data.dict(0).label(t.category()),
+    total_distance += NormalizedDistance(data.dict(0).label(t.category()),
                                              data.dict(0).label(obs.category()));
   }
   ASSERT_GT(corrupted, 50u);
